@@ -36,10 +36,14 @@
 //! cache misses of the measured run, while a real oracle-BP machine
 //! re-times everything. `exp_bottleneck` validates the perfect-BP
 //! projection against an actual oracle-BP simulation run.
+//!
+//! [`analyze`] reads the log once: it places the records by lid into one
+//! view, then runs the critical-path walk and a single fused forward
+//! pass that projects all [`SCENARIOS`] at once over that view.
 
 use crate::lifecycle::{Fate, InstLane, InstRecord, LifecycleLog, WaitEdgeKind};
 use crate::stall::{StallBreakdown, StallCause};
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 
 // ---------------------------------------------------------------------------
 // Hierarchical CPI stack
@@ -137,7 +141,7 @@ impl CpiStack {
 
 /// What a critical-path segment's cycles were spent on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-#[repr(usize)]
+#[repr(u8)]
 pub enum EdgeClass {
     /// Waiting for an older in-flight producer of a source operand.
     Producer = 0,
@@ -278,10 +282,148 @@ fn value_time(r: &InstRecord) -> Option<u64> {
         .or(r.fetch())
 }
 
+/// A squashed normal-lane record: wrong-path work, which perfect branch
+/// prediction would never have fetched.
+fn wrong_path(r: &InstRecord) -> bool {
+    r.fate == Fate::Squashed && r.lane == InstLane::Normal
+}
+
+// ---------------------------------------------------------------------------
+// The lid-dense view
+// ---------------------------------------------------------------------------
+
+/// View index meaning "no record": an edge whose target was not
+/// retained, or no earlier fetch.
+const ABSENT: u32 = u32::MAX;
+
+/// One wait-edge, decoded once for the analysis.
+#[derive(Debug, Clone, Copy)]
+struct Dep {
+    /// Cycles the wait was observed.
+    cycles: u64,
+    /// View index of the record waited on, or [`ABSENT`].
+    target: u32,
+    class: EdgeClass,
+}
+
+/// One log's retained records, placed by lid. Built once per analysis
+/// and shared by the critical-path walk and the fused what-if pass.
+///
+/// Lids are dense and unique, so a record's slot is `lid - base`: one
+/// O(n) placement replaces a sort and a hash map, and the analysis
+/// addresses records by their index in lid order. Wait-edges are
+/// decoded into one flat array with their targets resolved to such
+/// indices; a lid with no retained record (dropped by a ring cap)
+/// resolves to [`ABSENT`].
+struct View<'a> {
+    /// Cycle recording started.
+    start: u64,
+    /// Retained records in lid order.
+    recs: Vec<&'a InstRecord>,
+    /// The wait-edges of `recs[i]`, in order, are
+    /// `deps[offsets[i]..offsets[i + 1]]`.
+    offsets: Vec<u32>,
+    deps: Vec<Dep>,
+    /// Every cycle that squashed wrong-path records, ascending, with the
+    /// index of the youngest record it squashed.
+    squashes: Vec<(u64, u32)>,
+}
+
+impl<'a> View<'a> {
+    fn new(log: &'a LifecycleLog) -> View<'a> {
+        let mut ring = Vec::with_capacity(log.len());
+        let mut squashed: Vec<(u64, u64)> = Vec::new();
+        let (mut base, mut last) = (u64::MAX, 0);
+        let mut n_edges = 0;
+        for r in log.records() {
+            ring.push(r);
+            n_edges += r.edges.len();
+            base = base.min(r.lid);
+            last = last.max(r.lid);
+            if let Some(c) = r.retire().filter(|_| wrong_path(r)) {
+                match squashed.last_mut() {
+                    Some(prev) if prev.0 == c => prev.1 = prev.1.max(r.lid),
+                    _ => squashed.push((c, r.lid)),
+                }
+            }
+        }
+        // The ring retires in cycle order, so this is already sorted
+        // and the sort only checks it; merging equal cycles keeps the
+        // youngest record squashed in each.
+        squashed.sort_unstable();
+        squashed.dedup_by(|later, kept| {
+            let same = later.0 == kept.0;
+            if same {
+                kept.1 = later.1;
+            }
+            same
+        });
+        let span = (last + 1).saturating_sub(base);
+        assert!(
+            span < u64::from(ABSENT),
+            "lifecycle analysis indexes records with u32"
+        );
+        let slot = |lid: u64| (lid - base) as usize;
+        // `pos[slot]`: ring position, then (after the renumbering below)
+        // view index of the lid in that slot, or ABSENT.
+        let mut pos = vec![ABSENT; span as usize];
+        for (k, r) in ring.iter().enumerate() {
+            pos[slot(r.lid)] = k as u32;
+        }
+        // Renumber in slot order (a counting sort by lid), decoding each
+        // record's edges on the way. Targets are stored as slots first:
+        // an edge can name a younger record not yet renumbered.
+        let mut recs = Vec::with_capacity(ring.len());
+        let mut offsets = Vec::with_capacity(ring.len() + 1);
+        let mut deps = Vec::with_capacity(n_edges);
+        offsets.push(0);
+        for p in pos.iter_mut().filter(|p| **p != ABSENT) {
+            let r = ring[*p as usize];
+            *p = recs.len() as u32;
+            recs.push(r);
+            deps.extend(r.edges.iter().map(|e| {
+                Dep {
+                    cycles: e.cycles,
+                    target: e
+                        .target
+                        .filter(|lid| (base..=last).contains(lid))
+                        .map_or(ABSENT, |lid| slot(lid) as u32),
+                    class: EdgeClass::from_wait(e.kind, e.detail),
+                }
+            }));
+            offsets.push(u32::try_from(deps.len()).expect("wait-edge count fits u32"));
+        }
+        for d in deps.iter_mut().filter(|d| d.target != ABSENT) {
+            d.target = pos[d.target as usize];
+        }
+        let squashes = squashed
+            .into_iter()
+            .map(|(c, lid)| (c, pos[slot(lid)]))
+            .collect();
+        View {
+            start: log.start_cycle(),
+            recs,
+            offsets,
+            deps,
+            squashes,
+        }
+    }
+
+    /// The decoded wait-edges of `recs[i]`, in edge order.
+    fn deps(&self, i: usize) -> &[Dep] {
+        &self.deps[self.offsets[i] as usize..self.offsets[i + 1] as usize]
+    }
+}
+
+// ---------------------------------------------------------------------------
+// The critical-path walk
+// ---------------------------------------------------------------------------
+
+/// Critical-path cycles by class and by (pc, class). The
+/// mispredict-refetch entries double as the per-branch refetch table.
 struct Walk {
     attributed: [u64; NUM_CLASSES],
     segs: HashMap<(u64, EdgeClass), u64>,
-    refetch: HashMap<u64, u64>,
 }
 
 impl Walk {
@@ -291,61 +433,55 @@ impl Walk {
         }
         self.attributed[class as usize] += cycles;
         *self.segs.entry((pc, class)).or_insert(0) += cycles;
-        if class == EdgeClass::MispredictRefetch {
-            *self.refetch.entry(pc).or_insert(0) += cycles;
-        }
     }
 }
 
 /// Compute the critical path of a recorded run. Returns a default
 /// (zero-span) path when the log holds no records.
 pub fn critical_path(log: &LifecycleLog) -> CritPath {
-    let mut recs: Vec<&InstRecord> = log.records().collect();
-    recs.sort_by_key(|r| r.lid);
-    let by_lid: HashMap<u64, usize> = recs.iter().enumerate().map(|(i, r)| (r.lid, i)).collect();
+    walk(&View::new(log))
+}
+
+fn walk(v: &View) -> CritPath {
+    let recs = &v.recs;
+    let start = v.start;
     // Previous fetched record, per record, for the in-order fetch chain.
-    let mut prev_fetch: Vec<Option<usize>> = vec![None; recs.len()];
-    let mut last_fetched: Option<usize> = None;
+    let mut prev_fetch = vec![ABSENT; recs.len()];
+    let mut last_fetched = ABSENT;
     for (i, r) in recs.iter().enumerate() {
         prev_fetch[i] = last_fetched;
         if r.fetch().is_some() {
-            last_fetched = Some(i);
+            last_fetched = i as u32;
         }
     }
-    // Squashed records by retirement cycle, for refetch attribution.
-    let mut squashes: Vec<(u64, usize)> = recs
-        .iter()
-        .enumerate()
-        .filter(|(_, r)| r.fate == Fate::Squashed && r.lane == InstLane::Normal)
-        .filter_map(|(i, r)| r.retire().map(|c| (c, i)))
-        .collect();
-    squashes.sort_unstable();
 
-    let start = log.start_cycle();
     // Start from the committed record that retired last (any record as
-    // a fallback, so a squash-only window still walks).
+    // a fallback, so a squash-only window still walks). View order is
+    // lid order, so the index breaks ties between equal end times.
     let end_rec = recs
         .iter()
         .enumerate()
         .filter(|(_, r)| r.fate == Fate::Committed)
-        .filter_map(|(i, r)| end_time(r).map(|t| (t, r.lid, i)))
+        .filter_map(|(i, r)| end_time(r).map(|t| (t, i)))
         .max()
         .or_else(|| {
             recs.iter()
                 .enumerate()
-                .filter_map(|(i, r)| end_time(r).map(|t| (t, r.lid, i)))
+                .filter_map(|(i, r)| end_time(r).map(|t| (t, i)))
                 .max()
         });
-    let Some((t_end, _, mut cur)) = end_rec else {
+    let Some((t_end, mut cur)) = end_rec else {
         return CritPath::default();
     };
 
     let mut w = Walk {
         attributed: [0; NUM_CLASSES],
         segs: HashMap::new(),
-        refetch: HashMap::new(),
     };
     let mut t = t_end;
+    // `t` only falls, so the latest squash retirement at or before it
+    // is found by a cursor into `v.squashes` that only moves backward.
+    let mut squashes_le_t = v.squashes.len();
     let mut steps = 0usize;
     let limit = recs.len().saturating_mul(4) + 64;
     while t > start && steps < limit {
@@ -355,7 +491,7 @@ pub fn critical_path(log: &LifecycleLog) -> CritPath {
         // time: every span it contributes is mispredict-caused (perfect
         // branch prediction would remove it).
         let cls = |c: EdgeClass| {
-            if r.fate == Fate::Squashed && r.lane == InstLane::Normal {
+            if wrong_path(r) {
                 EdgeClass::MispredictRefetch
             } else {
                 c
@@ -370,13 +506,16 @@ pub fn critical_path(log: &LifecycleLog) -> CritPath {
         // memory/port wait-edges carved out of the span first.
         if let Some(i) = r.issue().filter(|&i| i < t) {
             let mut span = t - i;
-            for e in &r.edges {
+            for d in v.deps(cur) {
                 if span == 0 {
                     break;
                 }
-                if matches!(e.kind, WaitEdgeKind::CacheMiss | WaitEdgeKind::Port) {
-                    let take = e.cycles.min(span);
-                    w.add(r.pc(), cls(EdgeClass::from_wait(e.kind, e.detail)), take);
+                if matches!(
+                    d.class,
+                    EdgeClass::CacheL2 | EdgeClass::CacheL3 | EdgeClass::CacheMem | EdgeClass::Port
+                ) {
+                    let take = d.cycles.min(span);
+                    w.add(r.pc(), cls(d.class), take);
                     span -= take;
                 }
             }
@@ -386,17 +525,18 @@ pub fn critical_path(log: &LifecycleLog) -> CritPath {
         // Dispatch-to-issue: follow the binding (latest-arriving)
         // causal edge to an older record when one explains the wait.
         let d = r.dispatch().or(r.decode()).or(r.fetch()).unwrap_or(start);
-        let binding = r
-            .edges
+        // An ABSENT target is out of range of `recs`.
+        let binding = v
+            .deps(cur)
             .iter()
-            .filter_map(|e| {
-                let j = *by_lid.get(&e.target?)?;
-                let te = value_time(recs[j])?;
-                (te < t && te > d).then_some((te, recs[j].lid, j, e.kind, e.detail))
+            .filter_map(|dep| {
+                let j = dep.target as usize;
+                let te = value_time(recs.get(j)?)?;
+                (te < t && te > d).then_some((te, j, dep.class))
             })
-            .max_by_key(|&(te, lid, ..)| (te, lid));
-        if let Some((te, _, j, kind, detail)) = binding {
-            w.add(r.pc(), cls(EdgeClass::from_wait(kind, detail)), t - te);
+            .max_by_key(|&(te, j, _)| (te, j));
+        if let Some((te, j, class)) = binding {
+            w.add(r.pc(), cls(class), t - te);
             t = te;
             cur = j;
             continue;
@@ -413,18 +553,21 @@ pub fn critical_path(log: &LifecycleLog) -> CritPath {
         // Fetch chain: either a refetch after a squash (attribute the
         // repair gap to the squashed instruction) or the in-order
         // fetch stream.
-        let Some(p) = prev_fetch[cur] else {
+        if prev_fetch[cur] == ABSENT {
             break;
-        };
+        }
+        let p = prev_fetch[cur] as usize;
         let pf = recs[p].fetch().unwrap_or(start);
-        // Latest squash retirement in (pf, t], by binary search
-        // (`squashes` is sorted by retire cycle).
-        let flush = squashes
-            .partition_point(|&(c, _)| c <= t)
+        // Latest squash retirement in (pf, t].
+        while squashes_le_t > 0 && v.squashes[squashes_le_t - 1].0 > t {
+            squashes_le_t -= 1;
+        }
+        let flush = squashes_le_t
             .checked_sub(1)
-            .map(|i| squashes[i])
+            .map(|k| v.squashes[k])
             .filter(|&(c, _)| c > pf);
         if let Some((c, si)) = flush {
+            let si = si as usize;
             w.add(recs[si].pc(), EdgeClass::MispredictRefetch, t - c);
             t = c;
             cur = si;
@@ -442,12 +585,17 @@ pub fn critical_path(log: &LifecycleLog) -> CritPath {
     }
     let mut top: Vec<PathSeg> = w
         .segs
-        .into_iter()
-        .map(|((pc, class), cycles)| PathSeg { pc, class, cycles })
+        .iter()
+        .map(|(&(pc, class), &cycles)| PathSeg { pc, class, cycles })
         .collect();
     top.sort_by_key(|s| (std::cmp::Reverse(s.cycles), s.pc, s.class as usize));
     top.truncate(TOP_SEGMENTS);
-    let mut branch_refetch: Vec<(u64, u64)> = w.refetch.into_iter().collect();
+    let mut branch_refetch: Vec<(u64, u64)> = w
+        .segs
+        .into_iter()
+        .filter(|&((_, class), _)| class == EdgeClass::MispredictRefetch)
+        .map(|((pc, _), cycles)| (pc, cycles))
+        .collect();
     branch_refetch.sort_by_key(|&(pc, c)| (std::cmp::Reverse(c), pc));
     branch_refetch.truncate(TOP_SEGMENTS);
     CritPath {
@@ -549,131 +697,163 @@ pub struct WhatIfRow {
 /// any speed limit — removing constraints cannot slow the machine down
 /// — so the result is clamped to the recorded span.
 pub fn project(log: &LifecycleLog, zero: ZeroSet, width: u64, window: usize) -> u64 {
-    let mut recs: Vec<&InstRecord> = log.records().collect();
-    recs.sort_by_key(|r| r.lid);
-    let by_lid: HashMap<u64, usize> = recs.iter().enumerate().map(|(i, r)| (r.lid, i)).collect();
-    let start = log.start_cycle();
-    let mut squash_retires: Vec<u64> = recs
-        .iter()
-        .filter(|r| r.fate == Fate::Squashed && r.lane == InstLane::Normal)
-        .filter_map(|r| r.retire())
-        .collect();
-    squash_retires.sort_unstable();
-    let crossed_flush = |lo: u64, hi: u64| {
-        let i = squash_retires.partition_point(|&c| c <= lo);
-        squash_retires.get(i).is_some_and(|&c| c <= hi)
-    };
+    let [cycles] = project_all(&View::new(log), [zero], width, window);
+    cycles
+}
 
-    // Projected value-availability per record, in cycles after `start`.
-    let mut proj: Vec<u64> = vec![0; recs.len()];
-    let mut skipped: Vec<bool> = vec![false; recs.len()];
-    let mut last_fetch_obs: Option<u64> = None;
-    let mut last_fetch_proj: u64 = 0;
-    let mut committed = 0u64;
-    let mut depth = 0u64;
+/// All standard scenarios projected for one log.
+pub fn whatif_table(log: &LifecycleLog, width: u64, window: usize) -> Vec<WhatIfRow> {
+    whatif_rows(&View::new(log), width, window)
+}
+
+fn whatif_rows(v: &View, width: u64, window: usize) -> Vec<WhatIfRow> {
+    let cycles = project_all(v, SCENARIOS.map(|(_, zero)| zero), width, window);
+    SCENARIOS
+        .iter()
+        .zip(cycles)
+        .map(|(&(scenario, _), projected_cycles)| WhatIfRow {
+            scenario,
+            projected_cycles,
+        })
+        .collect()
+}
+
+/// The fused what-if pass: one forward re-walk of the view that
+/// projects every zero-set in `zeros` (see [`project`]). Each record's
+/// stamps and edges are decoded once; every scenario keeps its own
+/// projected times, fetch chain, window occupancy and depth, so each
+/// result equals the pass run for that zero-set alone.
+fn project_all<const K: usize>(
+    v: &View,
+    zeros: [ZeroSet; K],
+    width: u64,
+    window: usize,
+) -> [u64; K] {
+    let start = v.start;
+    // Squash retirements at or before cycle `x`, by a cursor into the
+    // sorted `v.squashes`. Fetch cycles rise with lid, so it only moves
+    // forward in practice (amortised O(1)), yet it is exact for any
+    // order. A fetch gap `(lo, hi]` crossed a flush iff the count at
+    // `hi` exceeds the count at `lo`.
+    let mut cursor = 0;
+    let mut squashes_le = |x: u64| {
+        while cursor > 0 && v.squashes[cursor - 1].0 > x {
+            cursor -= 1;
+        }
+        while v.squashes.get(cursor).is_some_and(|&(c, _)| c <= x) {
+            cursor += 1;
+        }
+        cursor
+    };
+    let squashes_le_start = squashes_le(start);
+
+    // Projected value-availability per record and scenario, in cycles
+    // after `start`. A record a scenario skips keeps 0, as does one not
+    // yet projected (an edge to itself or a younger record), so folding
+    // either into a dependence `max` changes nothing.
+    let mut proj: Vec<[u32; K]> = vec![[0; K]; v.recs.len()];
+    // Per scenario: the last fetch cycle observed, the squash count at
+    // it, and its projected cycle.
+    let mut last_fetch_obs = [start; K];
+    let mut last_fetch_squashes = [squashes_le_start; K];
+    let mut last_fetch_proj = [0u64; K];
     // The finite-window constraint: the machine retires in order, so a
     // record cannot dispatch before the *in-order completion front* of
-    // the record `window` slots ahead of it. The deque holds that
+    // the record `window` slots ahead of it. Each deque holds that
     // running front, one entry per dispatched normal-lane record.
-    let mut occupancy: std::collections::VecDeque<u64> =
-        std::collections::VecDeque::with_capacity(window);
-    let mut inorder_front = 0u64;
-    for (i, r) in recs.iter().enumerate() {
-        // Under perfect BP the wrong path is never fetched.
-        if zero.branch_repair && r.fate == Fate::Squashed && r.lane == InstLane::Normal {
-            skipped[i] = true;
-            continue;
-        }
-        let mut t = match r.fetch() {
-            Some(f) => {
-                let (gap_lo, mut delta) = match last_fetch_obs {
-                    Some(pf) => (pf, f - pf),
-                    None => (start, f - start),
-                };
-                if zero.branch_repair && crossed_flush(gap_lo, f) {
-                    delta = 0; // the refetch penalty vanishes
-                }
-                last_fetch_proj += delta;
-                last_fetch_obs = Some(f);
-                // Front-end depth (decode/rename) at its observed cost.
-                let depth_fe = r.dispatch().or(r.decode()).unwrap_or(f).saturating_sub(f);
-                last_fetch_proj + depth_fe
-            }
-            // Replicas are injected by the engine, not fetched; keep
-            // their observed creation time.
-            None => r
-                .dispatch()
-                .or(end_time(r))
-                .unwrap_or(start)
-                .saturating_sub(start),
-        };
-        // Dependence arrivals (projected).
-        for e in &r.edges {
-            let Some(tgt) = e.target else { continue };
-            let Some(&j) = by_lid.get(&tgt) else {
-                continue;
-            };
-            if j >= i || skipped[j] {
-                continue;
-            }
-            let zeroed = matches!(e.kind, WaitEdgeKind::ReplicaValue) && zero.replica_value;
-            if !zeroed {
-                t = t.max(proj[j]);
-            }
-        }
-        // Finite window: this record cannot dispatch before the record
-        // `window` slots ahead of it has drained.
+    let mut occupancy: [VecDeque<u64>; K] =
+        std::array::from_fn(|_| VecDeque::with_capacity(window));
+    let mut inorder_front = [0u64; K];
+    let mut depth = [0u64; K];
+    let mut committed = 0u64;
+    let mut last_end = 0u64;
+    for (i, r) in v.recs.iter().enumerate() {
+        let wrong = wrong_path(r);
         let occupies = window > 0 && r.lane == InstLane::Normal && r.dispatch().is_some();
-        if occupies && occupancy.len() == window {
-            let freed = occupancy.pop_front().unwrap_or(0);
-            t = t.max(freed);
-        }
+        let commits = r.fate == Fate::Committed && r.lane == InstLane::Normal;
+        // Front-end depth (decode/rename) at its observed cost.
+        let fetch = r.fetch().map(|f| {
+            let depth_fe = r.dispatch().or(r.decode()).unwrap_or(f).saturating_sub(f);
+            (f, squashes_le(f), depth_fe)
+        });
+        let deps = v.deps(i);
         // Execution latency at its observed cost.
         let exec = match (r.issue(), r.complete()) {
             (Some(i_), Some(c)) => c.saturating_sub(i_),
             _ => 0,
         };
-        let exec = if zero.reused_exec && r.reused {
-            0
-        } else {
-            exec
-        };
-        proj[i] = t + exec;
-        if occupies {
-            inorder_front = inorder_front.max(proj[i]);
-            occupancy.push_back(inorder_front);
+        for (k, zero) in zeros.iter().enumerate() {
+            // Under perfect BP the wrong path is never fetched.
+            if zero.branch_repair && wrong {
+                continue;
+            }
+            let mut t = match fetch {
+                Some((f, squashes_le_f, depth_fe)) => {
+                    let mut delta = f - last_fetch_obs[k];
+                    if zero.branch_repair && squashes_le_f > last_fetch_squashes[k] {
+                        delta = 0; // the refetch penalty vanishes
+                    }
+                    last_fetch_proj[k] += delta;
+                    last_fetch_obs[k] = f;
+                    last_fetch_squashes[k] = squashes_le_f;
+                    last_fetch_proj[k] + depth_fe
+                }
+                // Replicas are injected by the engine, not fetched; keep
+                // their observed creation time.
+                None => r
+                    .dispatch()
+                    .or(end_time(r))
+                    .unwrap_or(start)
+                    .saturating_sub(start),
+            };
+            // Dependence arrivals (projected).
+            for d in deps {
+                let zeroed = zero.replica_value && d.class == EdgeClass::ReplicaValue;
+                if d.target != ABSENT && !zeroed {
+                    t = t.max(u64::from(proj[d.target as usize][k]));
+                }
+            }
+            // Finite window: this record cannot dispatch before the
+            // record `window` slots ahead of it has drained.
+            if occupies && occupancy[k].len() == window {
+                let freed = occupancy[k].pop_front().unwrap_or(0);
+                t = t.max(freed);
+            }
+            let p = t + if zero.reused_exec && r.reused {
+                0
+            } else {
+                exec
+            };
+            // Lifecycle cycles are bounded at `u32::MAX - 1`, so this only
+            // saturates if the re-walk over-serializes a run at that bound.
+            proj[i][k] = u32::try_from(p).unwrap_or(u32::MAX);
+            if occupies {
+                inorder_front[k] = inorder_front[k].max(p);
+                occupancy[k].push_back(inorder_front[k]);
+            }
+            if commits {
+                depth[k] = depth[k].max(p);
+            }
         }
-        if r.fate == Fate::Committed && r.lane == InstLane::Normal {
+        if commits {
             committed += 1;
-            depth = depth.max(proj[i]);
+        }
+        if r.fate == Fate::Committed {
+            last_end = last_end.max(end_time(r).unwrap_or(0));
         }
     }
-    let projected = depth.max(committed.div_ceil(width.max(1)));
+    let floor = committed.div_ceil(width.max(1));
     // Clamp to the recorded span (last committed retire): a speed
     // limit can never exceed the run it was measured from.
-    let measured = recs
-        .iter()
-        .filter(|r| r.fate == Fate::Committed)
-        .filter_map(|r| r.retire().or_else(|| end_time(r)))
-        .max()
-        .unwrap_or(0)
-        .saturating_sub(start);
-    if measured > 0 {
-        projected.min(measured)
-    } else {
-        projected
-    }
-}
-
-/// All standard scenarios projected for one log.
-pub fn whatif_table(log: &LifecycleLog, width: u64, window: usize) -> Vec<WhatIfRow> {
-    SCENARIOS
-        .iter()
-        .map(|&(scenario, zero)| WhatIfRow {
-            scenario,
-            projected_cycles: project(log, zero, width, window),
-        })
-        .collect()
+    let measured = last_end.saturating_sub(start);
+    depth.map(|d| {
+        let projected = d.max(floor);
+        if measured > 0 {
+            projected.min(measured)
+        } else {
+            projected
+        }
+    })
 }
 
 // ---------------------------------------------------------------------------
@@ -693,10 +873,13 @@ pub struct BottleneckReport {
 
 /// Run the full analysis over a finished log. `window` is the machine's
 /// instruction-window size (the what-if re-walk models it; 0 = off).
+/// The log is placed into one lid-dense view, which the critical-path
+/// walk and the fused what-if pass share.
 pub fn analyze(log: &LifecycleLog, width: u64, window: usize) -> BottleneckReport {
+    let view = View::new(log);
     BottleneckReport {
-        crit: critical_path(log),
-        whatif: whatif_table(log, width, window),
+        crit: walk(&view),
+        whatif: whatif_rows(&view, width, window),
     }
 }
 
@@ -704,6 +887,7 @@ pub fn analyze(log: &LifecycleLog, width: u64, window: usize) -> BottleneckRepor
 mod tests {
     use super::*;
     use crate::lifecycle::LifecycleLog;
+    use crate::rng::Rng64;
     use crate::stall::ALL_CAUSES;
 
     #[test]
@@ -811,5 +995,202 @@ mod tests {
         let rep = analyze(&log, 8, 256);
         assert_eq!(rep.crit.span, 0);
         assert!(rep.whatif.iter().all(|r| r.projected_cycles == 0));
+    }
+
+    /// Cycles from the start of recording to the last committed
+    /// retirement: the span every projection must stay within.
+    fn measured(log: &LifecycleLog) -> u64 {
+        log.records()
+            .filter(|r| r.fate == Fate::Committed)
+            .filter_map(end_time)
+            .max()
+            .unwrap_or(0)
+            .saturating_sub(log.start_cycle())
+    }
+
+    /// Checks every property the fused pass must keep against the
+    /// standalone analyses of the same log.
+    fn check_fused(log: &LifecycleLog, width: u64, window: usize) {
+        let rep = analyze(log, width, window);
+        assert_eq!(rep.crit, critical_path(log));
+        assert_eq!(rep.whatif, whatif_table(log, width, window));
+        let total: u64 = rep.crit.classes.iter().sum();
+        assert_eq!(total, rep.crit.span, "attribution must tile the span");
+        let span = measured(log);
+        let mut got = HashMap::new();
+        for (row, &(scenario, zero)) in rep.whatif.iter().zip(&SCENARIOS) {
+            assert_eq!(row.scenario, scenario);
+            assert_eq!(
+                row.projected_cycles,
+                project(log, zero, width, window),
+                "{scenario}: fused row differs from the scenario run alone"
+            );
+            if span > 0 {
+                assert!(row.projected_cycles <= span, "{scenario} exceeds the run");
+            }
+            got.insert(scenario, row.projected_cycles);
+        }
+        assert!(got["perfect_everything"] <= got["perfect_bp"]);
+        assert!(got["perfect_everything"] <= got["perfect_ci_reuse"]);
+        assert!(got["perfect_ci_reuse"] <= got["infinite_replica_buffer"]);
+    }
+
+    /// A random well-formed log from a toy in-order-commit machine:
+    /// fetches with random stage delays, producer / cache / port /
+    /// store / replica-value edges (some to lids that never exist),
+    /// random flushes that squash the younger window, and replicas that
+    /// deliver or die. Some records stay in flight.
+    fn random_log(rng: &mut Rng64, cap: usize) -> LifecycleLog {
+        let mut log = LifecycleLog::new(cap);
+        let mut window: VecDeque<(u64, u64)> = VecDeque::new();
+        let mut replicas: VecDeque<u64> = VecDeque::new();
+        let mut lids: Vec<u64> = Vec::new();
+        let mut seq = 0;
+        for c in 0..rng.gen_range(10, 150) {
+            for _ in 0..2 {
+                match window.front() {
+                    Some(&(lid, done)) if done <= c => {
+                        log.note_commit(lid, c);
+                        window.pop_front();
+                    }
+                    _ => break,
+                }
+            }
+            if !window.is_empty() && rng.gen_bool(0.1) {
+                let keep = rng.gen_range(0, window.len() as u64) as usize;
+                for (lid, _) in window.drain(keep..) {
+                    log.note_squash(lid, c);
+                }
+            }
+            if !replicas.is_empty() && rng.gen_bool(0.3) {
+                let lid = replicas.pop_front().unwrap();
+                log.finish_replica(lid, c, rng.gen_bool(0.7));
+            }
+            if rng.gen_bool(0.2) {
+                let lid = log.begin_replica(rng.gen_range(0, 16), || "rep".into(), c);
+                // An older consumer waiting on the younger replica.
+                if let Some(&(consumer, _)) = window.back() {
+                    log.edge(consumer, WaitEdgeKind::ReplicaValue, Some(lid), "", c);
+                }
+                replicas.push_back(lid);
+                lids.push(lid);
+            }
+            for _ in 0..rng.gen_range(0, 3) {
+                let pc = rng.gen_range(0, 16);
+                let decode = c + rng.gen_range(1, 3);
+                let lid = log.begin_fetch(pc, || format!("i{pc}"), c, decode);
+                let dispatch = decode + rng.gen_range(0, 2);
+                let issue = dispatch + rng.gen_range(0, 6);
+                let done = issue + rng.gen_range(1, 8);
+                log.note_dispatch(lid, seq, dispatch);
+                log.note_issue(lid, issue);
+                log.note_complete(lid, done);
+                log.set_reused(lid, rng.gen_bool(0.2));
+                seq += 1;
+                for k in 0..rng.gen_range(0, 4) {
+                    let older = (!lids.is_empty())
+                        .then(|| lids[rng.gen_range(0, lids.len() as u64) as usize]);
+                    let (kind, target, detail) = match rng.gen_range(0, 6) {
+                        0 => (WaitEdgeKind::Producer, older, ""),
+                        1 => (
+                            WaitEdgeKind::CacheMiss,
+                            None,
+                            ["l2", "l3", "mem"][k as usize % 3],
+                        ),
+                        2 => (WaitEdgeKind::Port, None, "dport"),
+                        3 => (WaitEdgeKind::StoreDisambiguation, older, ""),
+                        4 => (WaitEdgeKind::Producer, Some(lid + 1000), ""),
+                        _ => (WaitEdgeKind::ReplicaValue, replicas.back().copied(), ""),
+                    };
+                    for n in 0..rng.gen_range(1, 4) {
+                        log.edge(lid, kind, target, detail, dispatch + n);
+                    }
+                }
+                window.push_back((lid, done));
+                lids.push(lid);
+            }
+        }
+        log
+    }
+
+    #[test]
+    fn fused_pass_matches_each_scenario_alone_on_random_logs() {
+        let mut rng = Rng64::seed_from_u64(0x5EED_C0DE);
+        for _ in 0..300 {
+            let cap = [0, 0, 4, 25][rng.gen_range(0, 4) as usize];
+            let log = random_log(&mut rng, cap);
+            let width = rng.gen_range(1, 5);
+            let window = [0, 3, 16][rng.gen_range(0, 3) as usize];
+            check_fused(&log, width, window);
+        }
+    }
+
+    #[test]
+    fn capped_log_resolves_dropped_targets_to_absent() {
+        // Ring of two: lids 1 and 2 are dropped, 3 and 4 retained.
+        let mut log = LifecycleLog::new(2);
+        let mut lids = Vec::new();
+        for i in 0..4 {
+            let lid = log.begin_fetch(0x40 + i, || "add".into(), i, i + 1);
+            log.note_dispatch(lid, i, i + 2);
+            if let Some(&prev) = lids.last() {
+                log.edge(lid, WaitEdgeKind::Producer, Some(prev), "", i + 2);
+            }
+            log.note_issue(lid, i + 4);
+            log.note_complete(lid, i + 5);
+            lids.push(lid);
+        }
+        for (i, &lid) in lids.iter().enumerate() {
+            log.note_commit(lid, 10 + i as u64);
+        }
+        assert_eq!(log.dropped(), 2);
+
+        let v = View::new(&log);
+        let kept: Vec<u64> = v.recs.iter().map(|r| r.lid).collect();
+        assert_eq!(kept, [3, 4]);
+        assert_eq!(v.deps(0)[0].target, ABSENT, "lid 2 was dropped");
+        assert_eq!(v.deps(1)[0].target, 0, "lid 3 is view index 0");
+
+        // The walk cannot reach the start of recording through dropped
+        // records: the remainder is unresolved, and the span still tiles.
+        let cp = critical_path(&log);
+        assert_eq!(cp.span, 13);
+        assert!(cp.classes[EdgeClass::Unresolved as usize] > 0);
+        check_fused(&log, 2, 4);
+    }
+
+    #[test]
+    fn replica_records_without_fetch_stamp() {
+        let mut log = LifecycleLog::new(0);
+        let first = log.begin_fetch(0x0f, || "sub".into(), 0, 1);
+        log.note_dispatch(first, 0, 2);
+        log.note_issue(first, 3);
+        log.note_complete(first, 4);
+        let replica = log.begin_replica(0x10, || "add".into(), 1);
+        log.note_issue(replica, 2);
+        let consumer = log.begin_fetch(0x10, || "add".into(), 2, 3);
+        log.note_dispatch(consumer, 1, 4);
+        log.edge(consumer, WaitEdgeKind::ReplicaValue, Some(replica), "", 4);
+        log.note_commit(first, 5);
+        log.finish_replica(replica, 30, true);
+        log.note_issue(consumer, 31);
+        log.note_complete(consumer, 32);
+        log.set_reused(consumer, true);
+        log.note_commit(consumer, 33);
+
+        let v = View::new(&log);
+        assert_eq!(v.recs[1].lid, replica);
+        assert_eq!(v.recs[1].fetch(), None);
+        assert_eq!(v.deps(2)[0].target, 1, "the consumer waits on the replica");
+
+        // The replica wait is on the critical path ...
+        let cp = critical_path(&log);
+        assert_eq!(cp.span, 33);
+        assert!(cp.classes[EdgeClass::ReplicaValue as usize] > 0);
+        // ... and an infinite replica buffer removes it.
+        let measured = project(&log, ZeroSet::default(), 8, 16);
+        let rows = whatif_table(&log, 8, 16);
+        assert!(rows[1].projected_cycles < measured, "{rows:?}");
+        check_fused(&log, 8, 16);
     }
 }

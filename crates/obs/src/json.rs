@@ -226,7 +226,7 @@ impl JsonValue {
 pub fn parse(text: &str) -> Result<JsonValue, String> {
     let bytes = text.as_bytes();
     let mut pos = 0usize;
-    let v = parse_value(bytes, &mut pos)?;
+    let v = parse_value(bytes, &mut pos, 0)?;
     skip_ws(bytes, &mut pos);
     if pos != bytes.len() {
         return Err(format!("trailing garbage at byte {pos}"));
@@ -240,8 +240,16 @@ fn skip_ws(b: &[u8], pos: &mut usize) {
     }
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses
+/// once per level, so an unbounded depth would let a hostile document
+/// overflow the stack; committed snapshots nest fewer than 10 levels.
+const MAX_DEPTH: usize = 512;
+
+fn parse_value(b: &[u8], pos: &mut usize, depth: usize) -> Result<JsonValue, String> {
     skip_ws(b, pos);
+    if matches!(b.get(*pos), Some(b'{' | b'[')) && depth == MAX_DEPTH {
+        return Err(format!("nesting deeper than {MAX_DEPTH} at byte {pos}"));
+    }
     match b.get(*pos) {
         None => Err("unexpected end of input".into()),
         Some(b'{') => {
@@ -254,7 +262,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
             }
             loop {
                 skip_ws(b, pos);
-                let key = match parse_value(b, pos)? {
+                let key = match parse_value(b, pos, depth + 1)? {
                     JsonValue::Str(s) => s,
                     _ => return Err(format!("object key must be a string at byte {pos}")),
                 };
@@ -263,7 +271,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                     return Err(format!("expected ':' at byte {pos}"));
                 }
                 *pos += 1;
-                let val = parse_value(b, pos)?;
+                let val = parse_value(b, pos, depth + 1)?;
                 members.push((key, val));
                 skip_ws(b, pos);
                 match b.get(*pos) {
@@ -285,7 +293,7 @@ fn parse_value(b: &[u8], pos: &mut usize) -> Result<JsonValue, String> {
                 return Ok(JsonValue::Arr(items));
             }
             loop {
-                items.push(parse_value(b, pos)?);
+                items.push(parse_value(b, pos, depth + 1)?);
                 skip_ws(b, pos);
                 match b.get(*pos) {
                     Some(b',') => *pos += 1,
@@ -448,5 +456,22 @@ mod tests {
             Some(&JsonValue::Null)
         );
         assert_eq!(v.get("c").unwrap().as_str(), Some("d"));
+    }
+
+    #[test]
+    fn parser_bounds_nesting_depth() {
+        let nested = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        assert!(parse(&nested(MAX_DEPTH)).is_ok());
+        assert_eq!(
+            parse(&nested(MAX_DEPTH + 1)),
+            Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {MAX_DEPTH}"
+            ))
+        );
+        // Far past the limit: an error, not a stack overflow.
+        let err = parse(&"[".repeat(200_000)).unwrap_err();
+        assert!(err.contains("at byte 512"), "{err}");
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().starts_with("nesting deeper"));
     }
 }

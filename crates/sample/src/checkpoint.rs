@@ -75,6 +75,11 @@ fn put_cache(out: &mut Vec<u8>, c: &WarmCache) {
     put_u64(out, c.clock);
 }
 
+/// Encoded size of one cache way: tag, flags byte, LRU stamp.
+const WAY_BYTES: usize = 8 + 1 + 8;
+/// Encoded size of one memory page: id, then its words.
+const PAGE_BYTES: usize = 8 + PAGE_WORDS * 8;
+
 /// Cursor-style reader over the serialized payload.
 struct Rd<'b> {
     buf: &'b [u8],
@@ -83,7 +88,7 @@ struct Rd<'b> {
 
 impl<'b> Rd<'b> {
     fn take(&mut self, n: usize) -> Result<&'b [u8], String> {
-        if self.pos + n > self.buf.len() {
+        if n > self.buf.len() - self.pos {
             return Err(format!(
                 "checkpoint truncated at byte {} (wanted {n} more of {})",
                 self.pos,
@@ -107,11 +112,24 @@ impl<'b> Rd<'b> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn cache(&mut self) -> Result<WarmCache, String> {
-        let n = self.u64()? as usize;
-        if n > (1 << 24) {
-            return Err(format!("implausible cache way count {n}"));
+    /// An element count, bounded by how many elements of `elem_bytes`
+    /// each the rest of the payload can hold, so a corrupt count fails
+    /// here instead of requesting a huge allocation.
+    fn count(&mut self, what: &str, elem_bytes: usize) -> Result<usize, String> {
+        let at = self.pos;
+        let n = self.u64()?;
+        let room = (self.buf.len() - self.pos) / elem_bytes;
+        match usize::try_from(n) {
+            Ok(n) if n <= room => Ok(n),
+            _ => Err(format!(
+                "checkpoint truncated or corrupt: {what} count {n} at byte {at} \
+                 exceeds the {room} the remaining bytes can hold"
+            )),
         }
+    }
+
+    fn cache(&mut self) -> Result<WarmCache, String> {
+        let n = self.count("cache way", WAY_BYTES)?;
         let mut ways = Vec::with_capacity(n);
         for _ in 0..n {
             let tag = self.u64()?;
@@ -179,20 +197,14 @@ impl Checkpoint {
         let pc = rd.u32()?;
         let retired = rd.u64()?;
         let ghist = rd.u64()?;
-        let tlen = rd.u64()? as usize;
-        if tlen > (1 << 28) {
-            return Err(format!("implausible gshare table length {tlen}"));
-        }
+        let tlen = rd.count("gshare table byte", 1)?;
         let gshare_table = rd.take(tlen)?.to_vec();
         let gshare_history = rd.u64()?;
         let l1i = rd.cache()?;
         let l1d = rd.cache()?;
         let l2 = rd.cache()?;
         let l3 = rd.cache()?;
-        let npages = rd.u64()? as usize;
-        if npages > (1 << 24) {
-            return Err(format!("implausible page count {npages}"));
-        }
+        let npages = rd.count("page", PAGE_BYTES)?;
         let mut pages = Vec::with_capacity(npages);
         for _ in 0..npages {
             let id = rd.u64()?;
@@ -324,6 +336,29 @@ mod tests {
         assert!(Checkpoint::from_bytes(&extra)
             .unwrap_err()
             .contains("trailing"));
+    }
+
+    #[test]
+    fn rejects_counts_the_payload_cannot_hold() {
+        let c = sample_checkpoint();
+        let bytes = c.to_bytes();
+        let patch = |at: usize, n: u64| {
+            let mut b = bytes.clone();
+            b[at..at + 8].copy_from_slice(&n.to_le_bytes());
+            Checkpoint::from_bytes(&b)
+        };
+        // The page count sits just before the pages; the l1i way count
+        // just after the gshare history.
+        let pages_at = bytes.len() - c.pages.len() * PAGE_BYTES - 8;
+        let ways_at = 8 + 4 + NUM_LOGICAL_REGS * 8 + 4 + 8 + 8 + 8 + c.gshare_table.len() + 8;
+        assert_eq!(patch(pages_at, c.pages.len() as u64), Ok(c.clone()));
+        assert_eq!(patch(ways_at, c.hier.l1i.ways.len() as u64), Ok(c.clone()));
+        for n in [c.pages.len() as u64 + 1, 1 << 24, u64::MAX] {
+            assert!(patch(pages_at, n).unwrap_err().contains("page count"));
+        }
+        for n in [1 << 24, u64::MAX] {
+            assert!(patch(ways_at, n).unwrap_err().contains("cache way count"));
+        }
     }
 
     #[test]

@@ -1,5 +1,7 @@
 //! Ad-hoc perf probe (ignored by default): times one kernel under
-//! different config axes to locate the hot path. Run with
+//! different config axes to locate the hot path. Lifecycle runs get a
+//! second row timing `critpath::analyze` alone, so the post-run
+//! analysis shows apart from recording. Run with
 //! `cargo test --release --test perf_probe -- --ignored --nocapture`.
 
 use cfir::prelude::*;
@@ -8,6 +10,7 @@ use std::time::Instant;
 fn time_run(label: &str, mut cfg: SimConfig, lifecycle: bool, cosim: bool) {
     cfg.record_lifecycle = lifecycle;
     cfg.cosim_check = cosim;
+    let (width, window) = (cfg.commit_width as u64, cfg.window as usize);
     let w = by_name("bzip2", WorkloadSpec::default()).unwrap();
     let minflt = || {
         std::fs::read_to_string("/proc/self/stat")
@@ -27,6 +30,18 @@ fn time_run(label: &str, mut cfg: SimConfig, lifecycle: bool, cosim: bool) {
         p.stats.lifecycle_records,
         minflt() - f0
     );
+    // The run above already analyzed its log once (in `finalize`);
+    // repeat that analysis on its own to time it.
+    if let Some(log) = p.lifecycle() {
+        let t = Instant::now();
+        std::hint::black_box(cfir::obs::critpath::analyze(log, width, window));
+        let dt = t.elapsed().as_secs_f64();
+        println!(
+            "{:32} {dt:7.3}s  {:.0} ns/record",
+            "  of which critpath::analyze",
+            dt * 1e9 / log.len().max(1) as f64
+        );
+    }
 }
 
 #[test]

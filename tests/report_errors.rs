@@ -96,3 +96,17 @@ fn non_json_and_wrong_shape_fail_cleanly() {
         "missing file",
     );
 }
+
+#[test]
+fn deeply_nested_json_fails_cleanly() {
+    // 200k unclosed arrays: an unbounded recursive parser overflows the
+    // stack (abort, exit 134); the depth limit turns it into an error.
+    let deep = write_tmp("deep.json", &"[".repeat(200_000));
+    let ds = deep.to_str().unwrap();
+    for args in [vec![ds], vec!["bottleneck", ds]] {
+        let out = report(&args);
+        assert_clean_failure(&out, &deep, &args.join(" "));
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(stderr.contains("nesting deeper"), "{args:?}: {stderr}");
+    }
+}
