@@ -4,9 +4,8 @@
 //! (workload, configuration) points it needs, plus an aggregator that
 //! reduces the finished [`JobResult`]s — in job-definition order —
 //! into the same CSV artifacts and stdout blocks the original
-//! single-threaded figure binaries produced. `cfir-suite` schedules
-//! the union of these matrices on the harness pool; the figure
-//! binaries are thin wrappers over [`standalone_main`].
+//! single-threaded figure binaries produced. `cfir-suite <name>` runs
+//! any of them, or any union of them, on the harness pool.
 //!
 //! The aggregators recompute every derived rate from the raw counters
 //! carried by [`JobResult`] with the exact `SimStats` formulas, so the
@@ -18,8 +17,7 @@ use crate::report::{f3, pct, report_json_checked, Table};
 use crate::runner;
 use cfir_core::{storage, MechConfig};
 use cfir_harness::{
-    run_suite, AggCtx, Artifact, Experiment, ExperimentOutput, JobResult, JobSpec, SuiteOptions,
-    WorkloadRef,
+    AggCtx, Artifact, Experiment, ExperimentOutput, JobResult, JobSpec, WorkloadRef,
 };
 use cfir_sim::{harmonic_mean, Mode, RegFileSize, SimConfig};
 use cfir_workloads::{WorkloadSpec, NAMES};
@@ -1429,34 +1427,18 @@ fn exp_warmup(p: &Params) -> Experiment {
     }
 }
 
-/// The generic design-space sweeper as an experiment: cartesian
-/// product of modes × register sizes × ports × replica counts over the
-/// suite (or one benchmark).
-pub fn sweep_experiment(
-    p: &Params,
-    modes: Vec<Mode>,
-    regs: Vec<RegFileSize>,
-    ports: Vec<u32>,
-    replicas: Vec<u8>,
-    bench: Option<String>,
-) -> Experiment {
+/// The committed-artifact design-space point: suite harmonic-mean IPC,
+/// reuse and misprediction rates for wb and ci at 512 registers, one
+/// port, four replicas. Other points are one `SimConfig` away through
+/// the library (`examples/design_space.rs`).
+fn sweep(p: &Params) -> Experiment {
+    let (regs, ports, replicas) = (RegFileSize::Finite(512), 1u32, 4u8);
+    let modes = [Mode::WideBus, Mode::Ci];
     let mut jobs = Vec::new();
-    let mut points = Vec::new();
-    for &mode in &modes {
-        for &r in &regs {
-            for &po in &ports {
-                for &reps in &replicas {
-                    let cfg = runner::config(mode, po, r).with_replicas(reps);
-                    match &bench {
-                        Some(name) => jobs.push(named_job(p, name, cfg)),
-                        None => jobs.extend(suite_jobs(p, &cfg)),
-                    }
-                    points.push((mode, r, po, reps));
-                }
-            }
-        }
+    for mode in modes {
+        let cfg = runner::config(mode, ports, regs).with_replicas(replicas);
+        jobs.extend(suite_jobs(p, &cfg));
     }
-    let group = if bench.is_some() { 1 } else { NAMES.len() };
     Experiment {
         name: "sweep",
         title: "Design-space sweep (modes x regs x ports x replicas)",
@@ -1468,24 +1450,16 @@ pub fn sweep_experiment(
                     "mode", "regs", "ports", "replicas", "IPC", "reuse%", "mispred%",
                 ],
             );
-            for (i, (mode, r, po, reps)) in points.iter().enumerate() {
-                let runs = &results[i * group..(i + 1) * group];
-                let (ipc, reuse, mr) = if group == 1 {
-                    let s = runs[0];
-                    (s.ipc(), s.reuse_fraction(), s.mispredict_rate())
-                } else {
-                    let reuse =
-                        runs.iter().map(|x| x.reuse_fraction()).sum::<f64>() / runs.len() as f64;
-                    let mr =
-                        runs.iter().map(|x| x.mispredict_rate()).sum::<f64>() / runs.len() as f64;
-                    (hmean_of(runs), reuse, mr)
-                };
+            for (mode, runs) in modes.iter().zip(results.chunks(NAMES.len())) {
+                let n = runs.len() as f64;
+                let reuse = runs.iter().map(|x| x.reuse_fraction()).sum::<f64>() / n;
+                let mr = runs.iter().map(|x| x.mispredict_rate()).sum::<f64>() / n;
                 t.row(vec![
                     mode.label().into(),
-                    r.label(),
-                    po.to_string(),
-                    reps.to_string(),
-                    f3(ipc),
+                    regs.label(),
+                    ports.to_string(),
+                    replicas.to_string(),
+                    f3(hmean_of(runs)),
                     format!("{:.1}", reuse * 100.0),
                     format!("{:.1}", mr * 100.0),
                 ]);
@@ -1498,20 +1472,10 @@ pub fn sweep_experiment(
     }
 }
 
-fn sweep_default(p: &Params) -> Experiment {
-    sweep_experiment(
-        p,
-        vec![Mode::WideBus, Mode::Ci],
-        vec![RegFileSize::Finite(512)],
-        vec![1],
-        vec![4],
-        None,
-    )
-}
-
-/// The five-mode smoke check on one benchmark, with the interval time
-/// series sampled (the snapshot bundle is the perf-gate baseline).
-pub fn smoke_experiment(p: &Params, bench: &str) -> Experiment {
+/// The five-mode smoke check on bzip2, with the interval time series
+/// sampled (the snapshot bundle is the perf-gate baseline).
+fn smoke(p: &Params) -> Experiment {
+    let bench = "bzip2";
     let mut jobs = Vec::new();
     for mode in [
         Mode::Scalar,
@@ -1528,14 +1492,13 @@ pub fn smoke_experiment(p: &Params, bench: &str) -> Experiment {
         cfg.record_lifecycle = true;
         jobs.push(named_job(p, bench, cfg));
     }
-    let name = bench.to_string();
     Experiment {
         name: "smoke",
         title: "Smoke: one benchmark, all five machine modes",
         jobs,
         aggregate: Box::new(move |ctx, results| {
             let mut t = Table::new(
-                format!("smoke: {name}"),
+                format!("smoke: {bench}"),
                 &[
                     "mode",
                     "IPC",
@@ -1586,7 +1549,7 @@ pub fn smoke_experiment(p: &Params, bench: &str) -> Experiment {
 }
 
 // ---------------------------------------------------------------------------
-// Registry, profiles, and the standalone-wrapper entry point
+// Registry and profiles
 // ---------------------------------------------------------------------------
 
 /// Names of every registered experiment, in canonical (suite) order.
@@ -1613,8 +1576,7 @@ pub const EXPERIMENT_NAMES: [&str; 20] = [
     "smoke",
 ];
 
-/// Build one experiment by name (`sweep` and `smoke` get their
-/// defaults: the committed-artifact sweep point, benchmark `bzip2`).
+/// Build one experiment by name.
 pub fn by_name(p: &Params, name: &str) -> Option<Experiment> {
     Some(match name {
         "table1" => table1(p),
@@ -1635,8 +1597,8 @@ pub fn by_name(p: &Params, name: &str) -> Option<Experiment> {
         "exp_bottleneck" => exp_bottleneck(p),
         "exp_cidi" => exp_cidi(p),
         "exp_sampling" => exp_sampling(p),
-        "sweep" => sweep_default(p),
-        "smoke" => smoke_experiment(p, "bzip2"),
+        "sweep" => sweep(p),
+        "smoke" => smoke(p),
         _ => return None,
     })
 }
@@ -1670,39 +1632,6 @@ pub fn profile(name: &str) -> Option<Vec<&'static str>> {
         "all" => EXPERIMENT_NAMES.to_vec(),
         _ => return None,
     })
-}
-
-/// Entry point for the thin per-figure wrapper binaries: run one named
-/// experiment through the harness with the legacy flags (`--emit-json`
-/// plus the new `--jobs N` / `--resume`). Exits non-zero when any job
-/// or the aggregation failed.
-pub fn standalone_main(name: &str) -> ! {
-    let mut opts = SuiteOptions {
-        emit_json: false,
-        ..SuiteOptions::default()
-    };
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--emit-json" => opts.emit_json = true,
-            "--resume" => opts.resume = true,
-            "--jobs" => {
-                opts.jobs = args.next().and_then(|v| v.parse().ok()).unwrap_or_else(|| {
-                    eprintln!("--jobs wants a number");
-                    std::process::exit(2);
-                })
-            }
-            other => {
-                eprintln!("unknown flag {other} (try --emit-json, --jobs N, --resume)");
-                std::process::exit(2);
-            }
-        }
-    }
-    let p = Params::from_env();
-    let exp = by_name(&p, name).expect("registered experiment");
-    let report = run_suite(vec![exp], &opts);
-    eprintln!("{}", report.summary_line());
-    std::process::exit(if report.all_ok() { 0 } else { 1 })
 }
 
 #[cfg(test)]

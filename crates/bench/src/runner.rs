@@ -1,16 +1,16 @@
 //! Shared simulation-running helpers.
 //!
-//! The declarative experiment matrix in [`crate::experiments`] is the
-//! primary way the evaluation runs now (via `cfir-suite`); these
-//! helpers remain for ad-hoc runs and for building that matrix
-//! (environment-derived run sizes, the standard config constructor).
+//! The declarative experiment matrix in [`crate::experiments`] is how
+//! the evaluation runs (via `cfir-suite`); these helpers build that
+//! matrix (environment-derived run sizes, the standard config
+//! constructor) and run one point ad hoc.
 //!
 //! Snapshots are threaded through return values — [`run_one`] returns
 //! the `run_json` document alongside the statistics — so concurrent
 //! callers never share mutable state.
 
 use cfir_sim::{Mode, Pipeline, RegFileSize, SimConfig, SimStats};
-use cfir_workloads::{by_name, Workload, WorkloadSpec, NAMES};
+use cfir_workloads::{Workload, WorkloadSpec};
 
 /// Committed-instruction budget per (benchmark, configuration) run.
 /// Override with `CFIR_INSTS`.
@@ -36,24 +36,6 @@ pub fn default_spec() -> WorkloadSpec {
     s
 }
 
-/// Names plus specs for the whole suite.
-pub fn suite_specs() -> Vec<(&'static str, WorkloadSpec)> {
-    NAMES.iter().map(|n| (*n, default_spec())).collect()
-}
-
-/// One (benchmark, config) result.
-#[derive(Debug, Clone)]
-pub struct RunRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Config label (e.g. "ci2p").
-    pub label: String,
-    /// Collected statistics.
-    pub stats: SimStats,
-    /// The full `cfir_sim::run_json` snapshot for this run.
-    pub snapshot: String,
-}
-
 /// Run one workload under one configuration; returns the statistics
 /// plus the per-run JSON snapshot (no shared accumulator).
 pub fn run_one(w: &Workload, mut cfg: SimConfig) -> (SimStats, String) {
@@ -64,23 +46,6 @@ pub fn run_one(w: &Workload, mut cfg: SimConfig) -> (SimStats, String) {
     p.run();
     let snapshot = cfir_sim::run_json(w.name, label, &p.stats);
     (p.stats.clone(), snapshot)
-}
-
-/// Run every benchmark in the suite under `cfg` (same config each).
-pub fn run_mode(cfg: &SimConfig, label: &str) -> Vec<RunRow> {
-    suite_specs()
-        .into_iter()
-        .map(|(name, spec)| {
-            let w = by_name(name, spec).expect("known benchmark");
-            let (stats, snapshot) = run_one(&w, cfg.clone());
-            RunRow {
-                name,
-                label: label.to_string(),
-                stats,
-                snapshot,
-            }
-        })
-        .collect()
 }
 
 /// Convenience: the paper's standard config for a mode/ports/regs point.
@@ -94,6 +59,7 @@ pub fn config(mode: Mode, dports: u32, regs: RegFileSize) -> SimConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use cfir_workloads::by_name;
 
     #[test]
     fn run_one_commits_the_budget_and_returns_a_snapshot() {

@@ -86,7 +86,7 @@ pub struct SuiteOptions {
     pub cache_dir: Option<PathBuf>,
     /// Also write JSON snapshot bundles next to the CSVs.
     pub emit_json: bool,
-    /// Artifact directory (the serial binaries' `results/`).
+    /// Artifact directory (default `results/`).
     pub out_dir: PathBuf,
     /// Suppress per-experiment stdout blocks (summary still prints).
     pub quiet: bool,

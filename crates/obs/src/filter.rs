@@ -1,21 +1,16 @@
 //! The `CFIR_TRACE` filter — parsed **once** at startup.
 //!
-//! Two syntaxes are accepted:
+//! The spec is space-separated `key=value` pairs, any subset of
 //!
-//! * **Legacy** (kept for compatibility with the original ad-hoc
-//!   tracing): `PC[,CYCLE_LO[,CYCLE_HI]]` — three bare integers, e.g.
-//!   `CFIR_TRACE=10,0,3000`.
-//! * **Keyed**: space-separated `key=value` pairs, any subset of
-//!   - `pc=N` — only events for this program counter (decimal or `0x` hex)
-//!   - `cycle=LO..HI` — only events in this half-open cycle range
-//!   - `sub=a+b+c` — only these subsystems (`vec`, `commit`, `exec`, …)
-//!   - `sink=text` | `sink=jsonl:PATH` | `sink=chrome:PATH` — output format
-//!   - `cap=N` — ring-buffer capacity for buffered sinks
+//! - `pc=N` — only events for this program counter (decimal or `0x` hex)
+//! - `cycle=LO..HI` — only events in this half-open cycle range
+//! - `sub=a+b+c` — only these subsystems (`vec`, `commit`, `exec`, …)
+//! - `sink=text` | `sink=jsonl:PATH` | `sink=chrome:PATH` — output format
+//! - `cap=N` — ring-buffer capacity for buffered sinks
 //!
-//!   e.g. `CFIR_TRACE='sub=vec+flush cycle=0..50000 sink=chrome:trace.json'`.
-//!
-//! `CFIR_TRACE=1` (or any empty/boolean-ish value) traces everything
-//! to the text sink.
+//! e.g. `CFIR_TRACE='sub=vec+flush cycle=0..50000 sink=chrome:trace.json'`.
+//! `CFIR_TRACE=1` (also `true` or empty) traces everything to the text
+//! sink.
 
 use crate::event::Subsystem;
 
@@ -32,7 +27,8 @@ pub enum SinkSpec {
 }
 
 /// Parsed trace filter. Matching is a couple of integer compares — no
-/// allocation, no environment access.
+/// allocation, no environment access. The default matches everything
+/// (what `CFIR_TRACE=1` parses to).
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceFilter {
     /// Only this PC (None = all PCs).
@@ -90,11 +86,6 @@ fn parse_int(s: &str) -> Option<u64> {
 }
 
 impl TraceFilter {
-    /// Match-everything filter (used by `CFIR_DEBUG=1`).
-    pub fn all() -> Self {
-        Self::default()
-    }
-
     /// Parse a `CFIR_TRACE` value. Returns `Err` with a description on
     /// malformed input so startup can fail loudly instead of silently
     /// tracing nothing.
@@ -105,30 +96,6 @@ impl TraceFilter {
             return Ok(f);
         }
 
-        // Legacy form: bare integers `PC[,LO[,HI]]`.
-        if !spec.contains('=') {
-            let parts: Vec<&str> = spec.split(',').collect();
-            if parts.len() > 3 {
-                return Err(format!(
-                    "legacy CFIR_TRACE takes at most PC,LO,HI: `{spec}`"
-                ));
-            }
-            f.pc = Some(
-                parse_int(parts[0])
-                    .ok_or_else(|| format!("bad PC `{}` in CFIR_TRACE", parts[0]))?,
-            );
-            if let Some(lo) = parts.get(1) {
-                f.cycle_lo =
-                    parse_int(lo).ok_or_else(|| format!("bad cycle lo `{lo}` in CFIR_TRACE"))?;
-            }
-            if let Some(hi) = parts.get(2) {
-                f.cycle_hi =
-                    parse_int(hi).ok_or_else(|| format!("bad cycle hi `{hi}` in CFIR_TRACE"))?;
-            }
-            return Ok(f);
-        }
-
-        // Keyed form.
         for tok in spec.split_whitespace() {
             let (key, val) = tok.split_once('=').ok_or_else(|| {
                 format!("expected key=value, got `{tok}` in CFIR_TRACE (valid keys: {VALID_KEYS})")
@@ -224,23 +191,6 @@ mod tests {
             assert!(f.matches(Subsystem::Vec, 0, 0));
             assert!(f.matches(Subsystem::Commit, 999, u64::MAX - 1));
         }
-    }
-
-    #[test]
-    fn legacy_triple() {
-        let f = TraceFilter::parse("10,0,3000").unwrap();
-        assert_eq!(f.pc, Some(10));
-        assert_eq!((f.cycle_lo, f.cycle_hi), (0, 3000));
-        assert!(f.matches(Subsystem::Vec, 10, 2999));
-        assert!(!f.matches(Subsystem::Vec, 10, 3000));
-        assert!(!f.matches(Subsystem::Vec, 11, 100));
-
-        let f = TraceFilter::parse("0x20").unwrap();
-        assert_eq!(f.pc, Some(0x20));
-        assert_eq!(f.cycle_hi, u64::MAX);
-
-        assert!(TraceFilter::parse("10,20,30,40").is_err());
-        assert!(TraceFilter::parse("ten").is_err());
     }
 
     #[test]

@@ -18,9 +18,8 @@
 //!
 //! ## Zero overhead when disabled
 //!
-//! The simulator holds an `Option<Tracer>`; when `CFIR_TRACE` /
-//! `CFIR_DEBUG` / `CFIR_CSTREAM` are unset the option is `None` and
-//! every trace site costs exactly one branch — no `format!`, no
+//! The simulator holds an `Option<Tracer>`; when `CFIR_TRACE` is unset
+//! the option is `None` and every trace site costs exactly one branch — no `format!`, no
 //! `env::var`, no allocation. Event payloads are built lazily, only
 //! after the parse-once filter has matched.
 

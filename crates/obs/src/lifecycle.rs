@@ -1048,7 +1048,11 @@ pub fn parse_konata(text: &str) -> Result<ParsedTrace, String> {
         match cmd {
             "" | "#" => {}
             "C=" => cycle = num("bad base cycle")?,
-            "C" => cycle += num("bad cycle delta")?,
+            "C" => {
+                cycle = cycle
+                    .checked_add(num("bad cycle delta")?)
+                    .ok_or_else(|| ctx("cycle overflow"))?
+            }
             "I" => {
                 let sid = num("bad sid")?;
                 let _iid = num("bad iid")?;
@@ -1198,14 +1202,17 @@ pub fn render_timeline(trace: &ParsedTrace, opts: &TimelineOpts) -> Result<Strin
             note,
             "mispredict cluster #{n} at cycle {at} ({count} squashed)"
         );
-        (at.saturating_sub(12), at + (max_cols as u64 - 12))
+        (
+            at.saturating_sub(12),
+            at.saturating_add((max_cols as u64).saturating_sub(12)),
+        )
     } else if let Some((lo, hi)) = opts.cycle_range {
         (lo, hi)
     } else {
         let lo = trace.insts.iter().map(|i| i.start()).min().unwrap_or(0);
-        (lo, lo + max_cols as u64)
+        (lo, lo.saturating_add(max_cols as u64))
     };
-    let hi = hi.min(lo + max_cols as u64);
+    let hi = hi.min(lo.saturating_add(max_cols as u64));
     if hi <= lo {
         return Err(format!("empty cycle window {lo}..{hi}"));
     }

@@ -7,15 +7,9 @@
 //! [`trace_event!`](crate::trace_event) macro can fire from `&self`
 //! contexts.
 //!
-//! Environment contract:
-//!
-//! | variable | effect |
-//! |---|---|
-//! | `CFIR_TRACE=SPEC` | trace per [`TraceFilter::parse`]; malformed specs panic loudly |
-//! | `CFIR_DEBUG=1` | trace everything (text sink) |
-//! | `CFIR_CSTREAM=1` | trace the commit subsystem only (the old commit-stream dump) |
-//!
-//! `CFIR_TRACE` wins over `CFIR_DEBUG`, which wins over `CFIR_CSTREAM`.
+//! Environment contract: `CFIR_TRACE=SPEC` traces per
+//! [`TraceFilter::parse`] (`CFIR_TRACE=1` traces everything to stderr);
+//! malformed specs panic loudly. Unset, tracing is off.
 
 use std::cell::RefCell;
 use std::sync::OnceLock;
@@ -50,30 +44,6 @@ fn build_sink(filter: &TraceFilter) -> Box<dyn Sink> {
     }
 }
 
-/// Resolve the three trace-related environment values into a filter.
-/// Pure so it can be tested without mutating the process environment.
-fn resolve(trace: Option<&str>, debug: bool, cstream: bool) -> Result<Option<TraceFilter>, String> {
-    if let Some(spec) = trace {
-        return TraceFilter::parse(spec).map(Some);
-    }
-    if debug {
-        return Ok(Some(TraceFilter::all()));
-    }
-    if cstream {
-        let mut f = TraceFilter::all();
-        f.subs = Subsystem::Commit.bit();
-        return Ok(Some(f));
-    }
-    Ok(None)
-}
-
-fn env_truthy(name: &str) -> bool {
-    match std::env::var(name) {
-        Ok(v) => !v.is_empty() && v != "0",
-        Err(_) => false,
-    }
-}
-
 static ENV_FILTER: OnceLock<Option<TraceFilter>> = OnceLock::new();
 
 impl Tracer {
@@ -94,23 +64,19 @@ impl Tracer {
         }
     }
 
-    /// Build a tracer from `CFIR_TRACE` / `CFIR_DEBUG` / `CFIR_CSTREAM`.
+    /// Build a tracer from `CFIR_TRACE`.
     ///
     /// The environment is read and the filter parsed **once per
     /// process**; later calls reuse the cached result (each call still
     /// gets its own sink). Returns `None` — the zero-overhead path —
-    /// when none of the variables are set. Panics with a descriptive
+    /// when the variable is unset. Panics with a descriptive
     /// message on a malformed `CFIR_TRACE`, so a typo'd filter fails
     /// the run instead of silently tracing nothing.
     pub fn from_env() -> Option<Tracer> {
         let cached = ENV_FILTER.get_or_init(|| {
-            let trace = std::env::var("CFIR_TRACE").ok();
-            match resolve(
-                trace.as_deref(),
-                env_truthy("CFIR_DEBUG"),
-                env_truthy("CFIR_CSTREAM"),
-            ) {
-                Ok(f) => f,
+            let spec = std::env::var("CFIR_TRACE").ok()?;
+            match TraceFilter::parse(&spec) {
+                Ok(f) => Some(f),
                 Err(e) => panic!("CFIR_TRACE: {e}"),
             }
         });
@@ -180,9 +146,10 @@ mod tests {
 
     #[test]
     fn macro_is_lazy_and_filtered() {
-        let mut f = TraceFilter::all();
-        f.pc = Some(0x10);
-        let (tracer, events) = capture(f);
+        let (tracer, events) = capture(TraceFilter {
+            pc: Some(0x10),
+            ..TraceFilter::default()
+        });
         let tracer = Some(tracer);
 
         let built = std::cell::Cell::new(0u32);
@@ -206,28 +173,10 @@ mod tests {
     }
 
     #[test]
-    fn resolve_precedence() {
-        // CFIR_TRACE wins.
-        let f = resolve(Some("pc=0x10"), true, true).unwrap().unwrap();
-        assert_eq!(f.pc, Some(0x10));
-        // CFIR_DEBUG next: everything.
-        let f = resolve(None, true, true).unwrap().unwrap();
-        assert_eq!(f, TraceFilter::all());
-        // CFIR_CSTREAM alone: commit subsystem only.
-        let f = resolve(None, false, true).unwrap().unwrap();
-        assert!(f.matches(Subsystem::Commit, 0, 0));
-        assert!(!f.matches(Subsystem::Vec, 0, 0));
-        // Nothing set: tracing disabled.
-        assert!(resolve(None, false, false).unwrap().is_none());
-        // Malformed specs are loud.
-        assert!(resolve(Some("sub=bogus"), false, false).is_err());
-    }
-
-    #[test]
     fn drop_flushes_sink() {
         let cap = Capture::default();
         let flushes = cap.flushes.clone();
-        let tracer = Tracer::with_sink(TraceFilter::all(), Box::new(cap));
+        let tracer = Tracer::with_sink(TraceFilter::default(), Box::new(cap));
         tracer.emit(Subsystem::Vec, 0, 0, EventKind::Note { msg: "x".into() });
         drop(tracer);
         assert_eq!(*flushes.borrow(), 1);

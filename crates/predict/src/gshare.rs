@@ -1,5 +1,16 @@
 //! Gshare conditional-branch predictor with speculative history.
 
+/// Mask of the committed global history a core keeps beside the
+/// predictor (16 bits): what a repair flush restores the speculative
+/// history from, and what checkpoints carry.
+pub const COMMITTED_HISTORY_MASK: u64 = (1 << 16) - 1;
+
+/// Shift a resolved direction into a committed history.
+#[inline]
+pub fn push_committed(ghist: u64, taken: bool) -> u64 {
+    ((ghist << 1) | taken as u64) & COMMITTED_HISTORY_MASK
+}
+
 /// Gshare predictor: `entries` 2-bit counters indexed by
 /// `(pc >> 2) ^ history`. Table 1 uses 64K entries.
 #[derive(Debug, Clone)]
@@ -61,6 +72,18 @@ impl Gshare {
         let taken = self.table[self.index(pc, self.history)] >= 2;
         self.push(taken);
         taken
+    }
+
+    /// Predict the branch at `pc`, then leave the speculative history
+    /// as if its resolved direction `taken` had been pushed — what a
+    /// front end that repairs the history on a misprediction ends up
+    /// with. Returns the prediction.
+    pub fn predict_resolved(&mut self, pc: u64, taken: bool) -> bool {
+        let h = self.history;
+        let predicted = self.predict_and_update(pc);
+        self.history = h;
+        self.push(taken);
+        predicted
     }
 
     /// Peek at the prediction without touching history (diagnostics).
@@ -156,6 +179,33 @@ mod tests {
             g.train(pc, h, false);
         }
         assert!(!g.peek(pc));
+    }
+
+    #[test]
+    fn predict_resolved_matches_predict_then_repair() {
+        let mut a = Gshare::new(1024);
+        let mut b = Gshare::new(1024);
+        for i in 0..200u64 {
+            let (pc, taken) = (0x40 + (i % 7) * 4, (i * 5) % 3 == 0);
+            let h = b.history();
+            let p = b.predict_and_update(pc);
+            if p != taken {
+                b.restore_history(h);
+                b.push(taken);
+            }
+            b.train(pc, h, taken);
+            assert_eq!(a.history(), h);
+            assert_eq!(a.predict_resolved(pc, taken), p);
+            a.train(pc, h, taken);
+            assert_eq!(a.export_warm(), b.export_warm());
+        }
+        assert_eq!((a.lookups, a.mispredicts), (b.lookups, b.mispredicts));
+    }
+
+    #[test]
+    fn committed_history_keeps_sixteen_bits() {
+        let h = (0..40).fold(0, |h, i| push_committed(h, i % 2 == 0));
+        assert_eq!(h, 0xAAAA & COMMITTED_HISTORY_MASK);
     }
 
     #[test]

@@ -29,5 +29,5 @@
 pub mod gshare;
 pub mod stride;
 
-pub use gshare::Gshare;
+pub use gshare::{push_committed, Gshare, COMMITTED_HISTORY_MASK};
 pub use stride::{StrideEntry, StridePredictor};

@@ -7,11 +7,13 @@
 //! * **Branch predictor** — for every conditional branch, predict with
 //!   the current speculative history, repair the history on a wrong
 //!   prediction (the front end would), and train the counter with the
-//!   history the prediction was made with. This is the same sequence
-//!   `cfir-sim` performs at fetch + commit, so a fast-forwarded gshare
-//!   is bit-compatible with one carried through detailed simulation of
-//!   the same instruction stream (modulo wrong-path pollution, which
-//!   the detailed warmup portion of each window re-creates).
+//!   history the prediction was made with. The first two steps are
+//!   [`Gshare::predict_resolved`], the call `cfir-sim`'s perfect-BP
+//!   fetch path makes; training is what its commit stage does. So a
+//!   fast-forwarded gshare is bit-compatible with one carried through
+//!   detailed simulation of the same instruction stream (modulo
+//!   wrong-path pollution, which the detailed warmup portion of each
+//!   window re-creates).
 //! * **Cache hierarchy** — one I-side access per retired instruction
 //!   and one D-side access per load/store, at the same aligned
 //!   addresses the detailed core would commit.
@@ -24,11 +26,8 @@ use crate::checkpoint::Checkpoint;
 use cfir_emu::{Emulator, MemImage, Retired};
 use cfir_isa::Program;
 use cfir_mem::Hierarchy;
-use cfir_predict::Gshare;
+use cfir_predict::{push_committed, Gshare};
 use cfir_sim::SimConfig;
-
-/// The committed global-history mask the pipeline maintains (16 bits).
-const GHIST_MASK: u64 = (1 << 16) - 1;
 
 /// A functional emulator bundled with warming predictor + cache state.
 #[derive(Debug, Clone)]
@@ -77,13 +76,9 @@ impl<'a> WarmingEmulator<'a> {
         if r.inst.is_cond_branch() {
             let byte = Program::byte_pc(r.pc);
             let h = self.gshare.history();
-            let p = self.gshare.predict_and_update(byte);
-            if p != r.taken {
-                self.gshare.restore_history(h);
-                self.gshare.push(r.taken);
-            }
+            self.gshare.predict_resolved(byte, r.taken);
             self.gshare.train(byte, h, r.taken);
-            self.ghist = ((self.ghist << 1) | r.taken as u64) & GHIST_MASK;
+            self.ghist = push_committed(self.ghist, r.taken);
         }
         if let Some(addr) = r.addr {
             self.hier.access_data(addr, r.inst.is_store());

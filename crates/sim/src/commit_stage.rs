@@ -222,8 +222,7 @@ impl Pipeline<'_> {
                     self.stats
                         .branch_prof
                         .note_branch(e.pc, e.actual_target != e.pred_target);
-                    self.arch_ghist =
-                        ((self.arch_ghist << 1) | e.actual_taken as u64) & ((1u64 << 16) - 1);
+                    self.arch_ghist = cfir_predict::push_committed(self.arch_ghist, e.actual_taken);
                     self.gshare
                         .train(Program::byte_pc(e.pc), e.ghist, e.actual_taken);
                     if let Some(m) = &mut self.mech {
@@ -282,20 +281,6 @@ impl Pipeline<'_> {
                     value: e.value
                 }
             );
-
-            if let Some((cap, q)) = &mut self.commit_log {
-                if q.len() == *cap {
-                    q.pop_front();
-                }
-                q.push_back(crate::pipeline::CommitRecord {
-                    cycle: self.cycle,
-                    seq: e.seq,
-                    pc: e.pc,
-                    inst: e.inst,
-                    value: e.value,
-                    reused: e.reuse.is_some(),
-                });
-            }
 
             // --- Golden-model check ---
             self.cosim_check(&e);

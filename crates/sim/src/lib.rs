@@ -48,7 +48,7 @@ pub mod stats;
 pub mod vec_engine;
 
 pub use config::{Mode, RegFileSize, SimConfig};
-pub use pipeline::{CommitRecord, Pipeline, PipelineSnapshot, RunExit, WarmStart};
+pub use pipeline::{Pipeline, RunExit, WarmStart};
 pub use prof::{BranchProf, BranchScore};
 pub use snapshot::{
     run_json, run_json_sampled, SampleEstimate, SampleWindow, SamplingInfo, SCHEMA_VERSION,

@@ -29,7 +29,7 @@ use cfir_emu::{Emulator, MemImage};
 use cfir_isa::{Inst, Program, NUM_LOGICAL_REGS};
 use cfir_mem::Hierarchy;
 use cfir_obs::{LifecycleLog, PipeviewSpec, Tracer, WaitEdgeKind};
-use cfir_predict::Gshare;
+use cfir_predict::{Gshare, COMMITTED_HISTORY_MASK};
 use std::collections::VecDeque;
 
 const NLR: usize = NUM_LOGICAL_REGS;
@@ -67,48 +67,6 @@ pub(crate) struct CycleRes {
     pub specmem_reads: u32,
     pub specmem_writes: u32,
     pub stores_committed: u32,
-}
-
-/// One committed instruction, as seen by the commit-log observer.
-#[derive(Debug, Clone, Copy)]
-pub struct CommitRecord {
-    /// Cycle of the commit.
-    pub cycle: u64,
-    /// Dynamic sequence number.
-    pub seq: u64,
-    /// Static PC.
-    pub pc: u32,
-    /// The instruction.
-    pub inst: Inst,
-    /// Result value (stores: the stored data).
-    pub value: u64,
-    /// Whether a precomputed result was reused.
-    pub reused: bool,
-}
-
-/// Point-in-time pipeline occupancy (see [`Pipeline::snapshot`]).
-#[derive(Debug, Clone, Copy)]
-pub struct PipelineSnapshot {
-    /// Current cycle.
-    pub cycle: u64,
-    /// Next fetch PC.
-    pub fetch_pc: u32,
-    /// Instructions between fetch and rename.
-    pub decode_q: usize,
-    /// Window occupancy.
-    pub rob: usize,
-    /// Window entries with results, waiting to retire in order.
-    pub rob_done: usize,
-    /// Load/store queue occupancy.
-    pub lsq: usize,
-    /// Physical registers in use.
-    pub regs_in_use: usize,
-    /// Replica-engine work items in flight.
-    pub replicas_in_flight: usize,
-    /// Live SRSMT entries.
-    pub srsmt_entries: usize,
-    /// Instructions committed so far.
-    pub committed: u64,
 }
 
 /// Architectural + warm microarchitectural state for starting a
@@ -207,8 +165,8 @@ pub struct Pipeline<'a> {
     // Per-cycle resources.
     pub(crate) res: CycleRes,
 
-    /// Structured tracing (`CFIR_TRACE`/`CFIR_DEBUG`/`CFIR_CSTREAM`,
-    /// parsed once). `None` = disabled: every trace site is one branch.
+    /// Structured tracing (`CFIR_TRACE`, parsed once). `None` =
+    /// disabled: every trace site is one branch.
     pub(crate) tracer: Option<Tracer>,
 
     // Per-cycle stall-attribution state.
@@ -218,10 +176,6 @@ pub struct Pipeline<'a> {
     pub(crate) dispatch_block: Option<DispatchBlock>,
     /// Cycle of the most recent flush with no commit since.
     pub(crate) last_flush_cycle: Option<u64>,
-
-    /// Ring buffer of recent commits (enabled by
-    /// [`Pipeline::enable_commit_log`]).
-    pub(crate) commit_log: Option<(usize, std::collections::VecDeque<CommitRecord>)>,
 
     /// Per-instruction lifecycle recorder (`cfir-viz`); `None` =
     /// disabled, every hook is one branch. Boxed: the log is large and
@@ -316,7 +270,6 @@ impl<'a> Pipeline<'a> {
             flushed_this_cycle: false,
             dispatch_block: None,
             last_flush_cycle: None,
-            commit_log: None,
             prod_lid: Vec::new(),
             lifecycle: None,
             lifecycle_since: 0,
@@ -381,7 +334,7 @@ impl<'a> Pipeline<'a> {
         }
         self.arch_pc = warm.pc;
         self.fetch_pc = warm.pc;
-        self.arch_ghist = warm.ghist & ((1u64 << 16) - 1);
+        self.arch_ghist = warm.ghist & COMMITTED_HISTORY_MASK;
         self.gshare
             .import_warm(&warm.gshare_table, warm.gshare_history);
         self.hier.import_warm(&warm.hier);
@@ -432,38 +385,6 @@ impl<'a> Pipeline<'a> {
     /// The lifecycle recorder, when enabled.
     pub fn lifecycle(&self) -> Option<&LifecycleLog> {
         self.lifecycle.as_deref()
-    }
-
-    /// Keep the last `n` committed instructions for inspection
-    /// ([`Pipeline::commit_log`]).
-    pub fn enable_commit_log(&mut self, n: usize) {
-        self.commit_log = Some((n, std::collections::VecDeque::with_capacity(n)));
-    }
-
-    /// The recorded commit log (empty unless enabled).
-    pub fn commit_log(&self) -> impl Iterator<Item = &CommitRecord> {
-        self.commit_log.iter().flat_map(|(_, q)| q.iter())
-    }
-
-    /// A one-line snapshot of pipeline occupancy, for teaching-style
-    /// per-cycle views (`cfir-run --pipeview`).
-    pub fn snapshot(&self) -> PipelineSnapshot {
-        PipelineSnapshot {
-            cycle: self.cycle,
-            fetch_pc: self.fetch_pc,
-            decode_q: self.decode_q.len(),
-            rob: self.rob.len(),
-            rob_done: self
-                .rob
-                .iter()
-                .filter(|e| e.state == RobState::Done)
-                .count(),
-            lsq: self.lsq.len(),
-            regs_in_use: self.rf.in_use(),
-            replicas_in_flight: self.replicas.len(),
-            srsmt_entries: self.mech.as_ref().map(|m| m.srsmt.occupancy()).unwrap_or(0),
-            committed: self.stats.committed,
-        }
     }
 
     /// Current cycle (diagnostics).
@@ -694,9 +615,7 @@ impl<'a> Pipeline<'a> {
                 if inst.is_cond_branch() {
                     // Keep gshare's speculative history shaped like the
                     // real stream so its state stays comparable.
-                    let _ = self.gshare.predict_and_update(Program::byte_pc(pc));
-                    self.gshare.restore_history(ghist);
-                    self.gshare.push(r.taken);
+                    self.gshare.predict_resolved(Program::byte_pc(pc), r.taken);
                 }
                 (r.taken, r.next_pc)
             } else {

@@ -141,19 +141,6 @@ fn mshr_limit_throttles_misses() {
 }
 
 #[test]
-fn commit_log_records_the_tail() {
-    let p = assemble("t", "li r1, 1\nli r2, 2\nadd r3, r1, r2\nhalt").unwrap();
-    let mut pipe = Pipeline::new(&p, MemImage::new(), cfg(Mode::Scalar));
-    pipe.enable_commit_log(2);
-    assert_eq!(pipe.run(), RunExit::Halted);
-    let log: Vec<_> = pipe.commit_log().collect();
-    assert_eq!(log.len(), 2, "ring buffer keeps the last two");
-    assert_eq!(log[0].pc, 2);
-    assert_eq!(log[0].value, 3);
-    assert_eq!(log[1].pc, 3, "halt is last");
-}
-
-#[test]
 fn deep_nested_hammocks_stay_correct_in_ci() {
     // Three nested data-dependent hammocks per iteration.
     let src = r#"

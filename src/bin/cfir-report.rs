@@ -2,7 +2,8 @@
 //! snapshots (see `DESIGN.md` for the schema).
 //!
 //! ```sh
-//! # Pretty-print a snapshot (single run or bundle):
+//! # Pretty-print a snapshot (single run, or a bundle such as
+//! # `cfir-suite smoke --emit-json` writes):
 //! cfir-report results/smoke.json
 //!
 //! # Per-metric deltas between two snapshots; exit 1 when a gating

@@ -3,7 +3,7 @@
 //!
 //! ```sh
 //! cargo run --release --bin cfir-run -- prog.asm --mode ci --insts 100000
-//! cargo run --release --bin cfir-run -- prog.asm --emu --trace 20
+//! cargo run --release --bin cfir-run -- prog.asm --emu
 //! ```
 //!
 //! Options:
@@ -14,9 +14,6 @@
 //! * `--regs N|inf` — physical register file size (default 512);
 //! * `--ports N` — L1D ports (default 1);
 //! * `--replicas N` — replicas per vectorized instruction (default 4);
-//! * `--trace N` — print the last N committed instructions;
-//! * `--pipeview N` — print per-cycle pipeline occupancy for the first
-//!   N cycles;
 //! * `--pipeview <path>` — record every dynamic instruction's pipeline
 //!   lifecycle (stages, wait-edges, replica/reuse/wrong-path fate) and
 //!   write a Konata-compatible trace to `path` at the end of the run
@@ -41,8 +38,6 @@ struct Args {
     regs: RegFileSize,
     ports: u32,
     replicas: u8,
-    trace: usize,
-    pipeview: u64,
     pipeview_path: Option<String>,
     pipeview_cap: usize,
     emit_json: bool,
@@ -54,15 +49,15 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: cfir-run <prog.asm> [--mode scal|wb|ci-iw|ci|vect] [--emu] [--insts N]\n\
-         \x20             [--regs N|inf] [--ports N] [--replicas N] [--trace N]\n\
-         \x20             [--pipeview N|path] [--pipeview-cap N]\n\
+         \x20             [--regs N|inf] [--ports N] [--replicas N]\n\
+         \x20             [--pipeview path] [--pipeview-cap N]\n\
          \x20             [--emit-json [path.json]] [--data ADDR=VAL,...] [--dump LO..HI]\n\
          --emit-json emits the versioned statistics snapshot (JSON) instead of the\n\
          text summary; give a path ending in .json to write it to a file\n\
          (e.g. results/run.json) rather than stdout\n\
-         --pipeview takes either a cycle count (print occupancy for the first N\n\
-         cycles) or a file path (record per-instruction lifecycles and write a\n\
-         Konata trace there; view with `cfir-report timeline <path>`)"
+         --pipeview records per-instruction lifecycles and writes a Konata\n\
+         trace to path (view with `cfir-report timeline <path>`); CFIR_TRACE\n\
+         (e.g. 'sub=commit') streams per-event traces"
     );
     exit(2)
 }
@@ -76,8 +71,6 @@ fn parse_args() -> Args {
         regs: RegFileSize::Finite(512),
         ports: 1,
         replicas: 4,
-        trace: 0,
-        pipeview: 0,
         pipeview_path: None,
         pipeview_cap: cfir::obs::lifecycle::DEFAULT_PIPEVIEW_CAP,
         emit_json: false,
@@ -121,21 +114,7 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--trace" => {
-                a.trace = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage())
-            }
-            "--pipeview" => {
-                // A number keeps the legacy occupancy view; anything
-                // else is a Konata trace output path.
-                let v = it.next().unwrap_or_else(|| usage());
-                match v.parse() {
-                    Ok(n) => a.pipeview = n,
-                    Err(_) => a.pipeview_path = Some(v),
-                }
-            }
+            "--pipeview" => a.pipeview_path = Some(it.next().unwrap_or_else(|| usage())),
             "--pipeview-cap" => {
                 a.pipeview_cap = it
                     .next()
@@ -225,32 +204,8 @@ fn main() {
         cfg.interval_cycles = 10_000;
     }
     let mut pipe = Pipeline::new(&prog, mem, cfg);
-    if a.trace > 0 {
-        pipe.enable_commit_log(a.trace);
-    }
     if let Some(p) = &a.pipeview_path {
         pipe.enable_pipeview(p, a.pipeview_cap);
-    }
-    if a.pipeview > 0 {
-        println!("cycle  fetch-pc  decq  rob(done)  lsq  regs  replicas  srsmt  committed");
-        for _ in 0..a.pipeview {
-            pipe.step();
-            let s = pipe.snapshot();
-            println!(
-                "{:5}  {:8}  {:4}  {:4}({:3})  {:3}  {:4}  {:8}  {:5}  {:9}",
-                s.cycle,
-                s.fetch_pc,
-                s.decode_q,
-                s.rob,
-                s.rob_done,
-                s.lsq,
-                s.regs_in_use,
-                s.replicas_in_flight,
-                s.srsmt_entries,
-                s.committed
-            );
-        }
-        println!();
     }
     let exit_reason = pipe.run();
     let s = &pipe.stats;
@@ -286,20 +241,6 @@ fn main() {
             s.reuse_fraction() * 100.0,
         );
         print_regs(|r| pipe.arch_reg(r));
-    }
-    if a.trace > 0 {
-        println!("\nlast {} commits:", a.trace);
-        for c in pipe.commit_log() {
-            println!(
-                "  [{:>8}] seq {:>8} pc {:>5} {:28} = {:#x}{}",
-                c.cycle,
-                c.seq,
-                c.pc,
-                c.inst.to_string(),
-                c.value,
-                if c.reused { "  (reused)" } else { "" }
-            );
-        }
     }
     if let Some((lo, hi)) = a.dump {
         dump(pipe.memory(), lo, hi);

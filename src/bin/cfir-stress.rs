@@ -18,26 +18,12 @@ const DATA_BASE: i64 = 0x2_0000;
 const OUT_BASE: i64 = 0x8_0000;
 const DATA_MASK: i64 = 0x3FF;
 
-struct Rng(u64);
-
-impl Rng {
-    fn next(&mut self) -> u64 {
-        self.0 ^= self.0 << 13;
-        self.0 ^= self.0 >> 7;
-        self.0 ^= self.0 << 17;
-        self.0
-    }
-    fn below(&mut self, n: u64) -> u64 {
-        self.next() % n
-    }
-}
-
 /// Random terminating loop, same shape family as the proptest
 /// generator but with a larger op vocabulary (it can afford longer
 /// runs).
-fn random_program(rng: &mut Rng) -> Program {
+fn random_program(rng: &mut Rng64) -> Program {
     let mut b = ProgramBuilder::new("stress");
-    let iters = 32 + rng.below(400) as i64;
+    let iters = 32 + rng.gen_range(0, 400) as i64;
     b.li(1, 0);
     b.li(2, iters);
     b.li(3, DATA_MASK);
@@ -47,13 +33,13 @@ fn random_program(rng: &mut Rng) -> Program {
     let top = b.label_here();
     b.alu(AluOp::And, 7, 6, 3);
     b.alu(AluOp::Add, 7, 7, 4);
-    let body = 2 + rng.below(14);
+    let body = 2 + rng.gen_range(0, 14);
     for _ in 0..body {
-        let r = |rng: &mut Rng| 10 + rng.below(16) as u8;
-        match rng.below(10) {
+        let r = |rng: &mut Rng64| 10 + rng.gen_range(0, 16) as u8;
+        match rng.gen_range(0, 10) {
             0 => {
                 let d = r(rng);
-                b.ld(d, 7, (rng.below(4) * 8) as i64);
+                b.ld(d, 7, (rng.gen_range(0, 4) * 8) as i64);
             }
             1 => {
                 // Indexed load.
@@ -75,7 +61,7 @@ fn random_program(rng: &mut Rng) -> Program {
             3 => {
                 // Hammock.
                 let conds = [Cond::Eq, Cond::Ne, Cond::Lt, Cond::Ge];
-                let c = conds[rng.below(4) as usize];
+                let c = conds[rng.gen_range(0, 4) as usize];
                 let (x, y) = (r(rng), r(rng));
                 let else_ = b.label();
                 let join = b.label();
@@ -95,12 +81,12 @@ fn random_program(rng: &mut Rng) -> Program {
             5 => {
                 let d = r(rng);
                 let s = r(rng);
-                b.alui(AluOp::Mul, d, s, (rng.below(64) as i64) - 32);
+                b.alui(AluOp::Mul, d, s, (rng.gen_range(0, 64) as i64) - 32);
             }
             6 => {
                 let d = r(rng);
                 let s = r(rng);
-                b.alui(AluOp::Div, d, s, 1 + rng.below(9) as i64);
+                b.alui(AluOp::Div, d, s, 1 + rng.gen_range(0, 9) as i64);
             }
             _ => {
                 let ops = [
@@ -111,7 +97,7 @@ fn random_program(rng: &mut Rng) -> Program {
                     AluOp::Or,
                     AluOp::Srl,
                 ];
-                let o = ops[rng.below(6) as usize];
+                let o = ops[rng.gen_range(0, 6) as usize];
                 let (d, s1, s2) = (r(rng), r(rng), r(rng));
                 b.alu(o, d, s1, s2);
             }
@@ -143,11 +129,11 @@ fn main() {
     let mut total_reuse = 0u64;
     for case in 0..cases {
         let seed = base_seed.wrapping_add(case.wrapping_mul(0x9E37_79B9));
-        let mut rng = Rng(seed | 1);
+        let mut rng = Rng64::seed_from_u64(seed);
         let prog = random_program(&mut rng);
         let mut mem = MemImage::new();
         for i in 0..128u64 {
-            mem.write(DATA_BASE as u64 + i * 8, rng.next() & 0xFF);
+            mem.write(DATA_BASE as u64 + i * 8, rng.next_u64() & 0xFF);
         }
         let mut emu = Emulator::new(mem.clone());
         emu.run(&prog, 50_000_000);

@@ -8,8 +8,8 @@
 //! content-addressed result cache so `--resume` skips every point that
 //! already ran. Aggregation reduces results in job-definition order,
 //! so the artifacts under `results/` are byte-identical for `--jobs 1`
-//! and `--jobs 16` — and identical to what the retired serial binaries
-//! produced.
+//! and `--jobs 16` — and identical to what the retired serial
+//! per-figure programs produced.
 //!
 //! ```sh
 //! cfir-suite --all --jobs $(nproc)        # regenerate everything
@@ -68,7 +68,7 @@ const INDEX_HEADER: &str = "# results/\n\n\
     Outputs of the evaluation suite (see EXPERIMENTS.md for the\n\
     paper-vs-measured discussion). Regenerate everything with\n\
     `cfir-suite --all --jobs $(nproc)`; any single experiment with\n\
-    `cfir-suite <name>` or its thin wrapper binary.\n\n\
+    `cfir-suite <name>`.\n\n\
     - `final_run.txt` — **the canonical record**: one full sequential run of\n\
     \x20 table1 + fig04..fig14 + exp_regs + exp_coherence + ablations +\n\
     \x20 exp_limit + exp_warmup with the final code and defaults\n\

@@ -2,8 +2,8 @@
 //!
 //! Works on the versioned JSON documents the simulator emits: either a
 //! single-run snapshot ([`cfir_sim::run_json`]) or a bundle with a
-//! `"runs"` array (`cfir_bench::report::report_json`, what `smoke
-//! --emit-json` and the figure binaries write). Runs are matched across
+//! `"runs"` array (`cfir_bench::report::report_json`, what
+//! `cfir-suite <name> --emit-json` writes). Runs are matched across
 //! documents by `(name, mode)`, compared metric by metric, and the
 //! *gating* metrics (IPC, reuse fraction, CI-exploited fraction) decide
 //! whether the new document regressed beyond a relative tolerance —

@@ -1,7 +1,7 @@
 //! End-to-end tracing acceptance: `CFIR_TRACE` drives the `cfir-run`
-//! binary to produce Chrome-trace and JSONL files, and tracing must
-//! not perturb the simulation (identical `--emit-json` snapshots with
-//! and without a tracer attached).
+//! binary to produce Chrome-trace and JSONL files, tracing must not
+//! perturb the simulation (identical `--emit-json` snapshots with and
+//! without a tracer attached), and `sub=commit` is the commit log.
 //!
 //! Each configuration runs in its own child process because the trace
 //! environment is parsed once per process.
@@ -30,14 +30,12 @@ fn tmp(name: &str) -> PathBuf {
     std::env::temp_dir().join(format!("cfir-trace-test-{}-{name}", std::process::id()))
 }
 
-/// Run `cfir-run <asm> --mode ci --emit-json` with a scrubbed trace
-/// environment plus `trace_env`, returning stdout.
-fn run(asm: &PathBuf, trace_env: Option<&str>) -> String {
+/// Run `cfir-run <asm> <args>` with `CFIR_TRACE` set to `trace_env`
+/// (or unset), returning stdout.
+fn run_with(asm: &PathBuf, args: &[&str], trace_env: Option<&str>) -> String {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_cfir-run"));
-    cmd.arg(asm).args(["--mode", "ci", "--emit-json"]);
-    cmd.env_remove("CFIR_TRACE")
-        .env_remove("CFIR_DEBUG")
-        .env_remove("CFIR_CSTREAM");
+    cmd.arg(asm).args(args);
+    cmd.env_remove("CFIR_TRACE");
     if let Some(spec) = trace_env {
         cmd.env("CFIR_TRACE", spec);
     }
@@ -48,6 +46,11 @@ fn run(asm: &PathBuf, trace_env: Option<&str>) -> String {
         String::from_utf8_lossy(&out.stderr)
     );
     String::from_utf8(out.stdout).expect("utf-8 stdout")
+}
+
+/// `cfir-run <asm> --mode ci --emit-json`, returning the snapshot.
+fn run(asm: &PathBuf, trace_env: Option<&str>) -> String {
+    run_with(asm, &["--mode", "ci", "--emit-json"], trace_env)
 }
 
 #[test]
@@ -111,6 +114,38 @@ fn tracing_emits_files_without_perturbing_the_run() {
     }
 
     for p in [asm, chrome, jsonl] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
+#[test]
+fn commit_trace_records_values_in_program_order() {
+    let asm = tmp("commit.asm");
+    std::fs::write(&asm, "li r1, 1\nli r2, 2\nadd r3, r1, r2\nhalt\n").unwrap();
+    let jsonl = tmp("commit.jsonl");
+    let spec = format!("sub=commit sink=jsonl:{}", jsonl.display());
+    run_with(&asm, &["--mode", "scal"], Some(&spec));
+
+    let doc = std::fs::read_to_string(&jsonl).expect("commit trace written");
+    let commits: Vec<(u64, u64)> = doc
+        .lines()
+        .map(|l| json::parse(l).expect("each JSONL line parses"))
+        .filter(|e| e.get("ev").and_then(|v| v.as_str()) == Some("commit"))
+        .map(|e| {
+            let pc = e.get("pc").and_then(|v| v.as_u64()).expect("pc");
+            let args = e.get("args").expect("args");
+            (
+                pc,
+                args.get("value").and_then(|v| v.as_u64()).expect("value"),
+            )
+        })
+        .collect();
+    let pcs: Vec<u64> = commits.iter().map(|&(pc, _)| pc).collect();
+    assert_eq!(pcs, [0, 1, 2, 3], "one commit per instruction, in order");
+    assert_eq!(commits[2], (2, 3), "add r3, r1, r2 commits 1 + 2");
+    assert_eq!(pcs.last(), Some(&3), "halt is the last commit");
+
+    for p in [asm, jsonl] {
         let _ = std::fs::remove_file(p);
     }
 }
