@@ -27,4 +27,4 @@ pub mod report;
 pub mod runner;
 
 pub use report::{report_json, report_json_checked, Table};
-pub use runner::{default_spec, max_insts, run_one};
+pub use runner::{default_spec, max_insts};

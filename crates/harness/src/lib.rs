@@ -43,24 +43,4 @@ pub use suite::{
 };
 
 /// FNV-1a 64-bit hash (the content address of a job fingerprint).
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn fnv_is_stable_and_spreads() {
-        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
-        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
-        // Regression pin so cache file names never silently change.
-        assert_eq!(fnv1a64(b"cfir"), fnv1a64(b"cfir"));
-    }
-}
+pub use cfir_obs::fnv1a64;

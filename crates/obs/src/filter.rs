@@ -64,10 +64,7 @@ pub const VALID_KEYS: &str = "pc=, cycle=, sub=, sink=, cap=";
 
 /// Suffix `path` with `.<scope>` before its extension
 /// (`trace.jsonl` → `trace.<scope>.jsonl`; no extension → appended).
-/// Shared by [`TraceFilter::scoped`] and
-/// [`crate::PipeviewSpec::scoped`] so every per-job artifact scopes the
-/// same way.
-pub fn scope_path(path: &str, scope: &str) -> String {
+fn scope_path(path: &str, scope: &str) -> String {
     match path.rsplit_once('.') {
         // Only treat the final dot as an extension separator if it is
         // inside the file name, not a parent directory.

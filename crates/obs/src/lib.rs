@@ -41,11 +41,22 @@ pub use hist::Hist;
 pub use json::{JsonValue, JsonWriter};
 pub use lifecycle::{
     parse_konata, render_timeline, Fate, InstLane, InstRecord, LifecycleLog, ParsedTrace,
-    PipeviewSpec, TimelineOpts, WaitEdge, WaitEdgeKind,
+    TimelineOpts, WaitEdge, WaitEdgeKind,
 };
 pub use rng::Rng64;
 pub use stall::{StallBreakdown, StallCause};
 pub use trace::Tracer;
+
+/// FNV-1a 64-bit hash: the content address of harness job fingerprints
+/// and sampling checkpoints (re-exported by both crates).
+pub fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
 
 /// Lazily emit a trace event through an `Option<Tracer>`.
 ///
@@ -71,4 +82,18 @@ macro_rules! trace_event {
             }
         }
     };
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn fnv_is_stable_and_spreads() {
+        assert_eq!(fnv1a64(b""), 0xcbf29ce484222325);
+        assert_ne!(fnv1a64(b"a"), fnv1a64(b"b"));
+        // Regression pin so cache and checkpoint file names never
+        // silently change.
+        assert_eq!(fnv1a64(b"cfir"), 0xbcdc_9d90_ec62_c887);
+    }
 }

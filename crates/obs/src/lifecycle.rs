@@ -40,7 +40,7 @@
 use crate::stall::{StallBreakdown, StallCause, ALL_CAUSES, NUM_CAUSES};
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::sync::{Mutex, OnceLock};
+use std::sync::Mutex;
 
 /// Which Konata lane (thread id) a record renders on.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -1305,77 +1305,6 @@ pub fn render_timeline(trace: &ParsedTrace, opts: &TimelineOpts) -> Result<Strin
     Ok(out)
 }
 
-// --------------------------------------------------------------------
-// CFIR_PIPEVIEW
-// --------------------------------------------------------------------
-
-/// Parsed `CFIR_PIPEVIEW` value: `PATH[ cap=N]`. The simulator
-/// auto-enables lifecycle recording and writes the Konata trace to
-/// `path` when the run finishes.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct PipeviewSpec {
-    /// Output path for the Konata document.
-    pub path: String,
-    /// Retired-record ring capacity (0 = unbounded).
-    pub cap: usize,
-}
-
-/// Default retired-record ring capacity (usable on 1M-instruction
-/// windows without unbounded memory).
-pub const DEFAULT_PIPEVIEW_CAP: usize = 1 << 20;
-
-impl PipeviewSpec {
-    /// Parse `PATH[ cap=N]`.
-    pub fn parse(spec: &str) -> Result<PipeviewSpec, String> {
-        let mut path = None;
-        let mut cap = DEFAULT_PIPEVIEW_CAP;
-        for tok in spec.split_whitespace() {
-            if let Some(v) = tok.strip_prefix("cap=") {
-                cap = v
-                    .parse()
-                    .map_err(|_| format!("bad cap `{v}` in CFIR_PIPEVIEW"))?;
-            } else if path.is_none() {
-                path = Some(tok.to_string());
-            } else {
-                return Err(format!(
-                    "unexpected token `{tok}` in CFIR_PIPEVIEW (want `PATH [cap=N]`)"
-                ));
-            }
-        }
-        match path {
-            Some(path) => Ok(PipeviewSpec { path, cap }),
-            None => Err("CFIR_PIPEVIEW needs an output path (`PATH [cap=N]`)".into()),
-        }
-    }
-
-    /// Read `CFIR_PIPEVIEW` from the environment, **once per process**
-    /// (same contract as the trace filter). Panics loudly on a
-    /// malformed value.
-    pub fn from_env() -> Option<PipeviewSpec> {
-        static ENV: OnceLock<Option<PipeviewSpec>> = OnceLock::new();
-        ENV.get_or_init(|| {
-            std::env::var("CFIR_PIPEVIEW")
-                .ok()
-                .filter(|v| !v.is_empty())
-                .map(|v| match PipeviewSpec::parse(&v) {
-                    Ok(s) => s,
-                    Err(e) => panic!("CFIR_PIPEVIEW: {e}"),
-                })
-        })
-        .clone()
-    }
-
-    /// A copy with the output path suffixed by `scope` (same rule as
-    /// [`crate::TraceFilter::scoped`]), so concurrent harness jobs
-    /// sharing one `CFIR_PIPEVIEW` value write distinct files.
-    pub fn scoped(&self, scope: &str) -> PipeviewSpec {
-        PipeviewSpec {
-            path: crate::filter::scope_path(&self.path, scope),
-            cap: self.cap,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1563,18 +1492,5 @@ mod tests {
             }
         )
         .is_err());
-    }
-
-    #[test]
-    fn pipeview_spec_parses_and_scopes() {
-        let s = PipeviewSpec::parse("/tmp/t.log").unwrap();
-        assert_eq!(s.path, "/tmp/t.log");
-        assert_eq!(s.cap, DEFAULT_PIPEVIEW_CAP);
-        let s = PipeviewSpec::parse("trace.log cap=4096").unwrap();
-        assert_eq!(s.cap, 4096);
-        assert_eq!(s.scoped("07").path, "trace.07.log");
-        assert!(PipeviewSpec::parse("").is_err());
-        assert!(PipeviewSpec::parse("a b").is_err());
-        assert!(PipeviewSpec::parse("a cap=zebra").is_err());
     }
 }

@@ -56,21 +56,28 @@ fn event_line(ev: &TraceEvent) -> String {
 
 /// One JSON object per line.
 pub struct JsonlSink {
-    out: Box<dyn Write>,
+    out: Option<Box<dyn Write>>,
+    /// File still to be created at the first event (`None` once the
+    /// open was attempted).
+    path: Option<String>,
 }
 
 impl JsonlSink {
-    /// Write to a file at `path` (truncates).
-    pub fn create(path: &str) -> std::io::Result<Self> {
-        let f = std::fs::File::create(path)?;
-        Ok(JsonlSink {
-            out: Box::new(std::io::BufWriter::new(f)),
-        })
+    /// Write to a file at `path`, created (truncating) at the first
+    /// event: a sink that never receives one leaves no file behind.
+    pub fn create(path: &str) -> Self {
+        JsonlSink {
+            out: None,
+            path: Some(path.to_string()),
+        }
     }
 
     /// Write to any `Write` (tests).
     pub fn to_writer(out: Box<dyn Write>) -> Self {
-        JsonlSink { out }
+        JsonlSink {
+            out: Some(out),
+            path: None,
+        }
     }
 
     /// Serialize one event as its JSONL line (no trailing newline).
@@ -81,17 +88,28 @@ impl JsonlSink {
 
 impl Sink for JsonlSink {
     fn emit(&mut self, ev: &TraceEvent) {
-        let _ = writeln!(self.out, "{}", event_line(ev));
+        if let Some(path) = self.path.take() {
+            match std::fs::File::create(&path) {
+                Ok(f) => self.out = Some(Box::new(std::io::BufWriter::new(f))),
+                Err(e) => eprintln!("cfir-obs: cannot open jsonl trace {path}: {e}"),
+            }
+        }
+        if let Some(out) = self.out.as_mut() {
+            let _ = writeln!(out, "{}", event_line(ev));
+        }
     }
 
     fn flush(&mut self) {
-        let _ = self.out.flush();
+        if let Some(out) = self.out.as_mut() {
+            let _ = out.flush();
+        }
     }
 }
 
 /// Chrome `trace_event` sink. Events are held in a bounded ring buffer
 /// (oldest dropped first) and written as one JSON document on flush,
-/// with a thread per subsystem so Perfetto lays tracks out nicely.
+/// with a thread per subsystem so Perfetto lays tracks out nicely. A
+/// sink that never receives an event writes nothing.
 pub struct ChromeSink {
     ring: VecDeque<TraceEvent>,
     cap: usize,
@@ -189,6 +207,9 @@ impl Sink for ChromeSink {
     }
 
     fn flush(&mut self) {
+        if self.ring.is_empty() {
+            return;
+        }
         let doc = self.render();
         match self.out.as_mut() {
             Some(out) => {
@@ -255,5 +276,39 @@ mod tests {
         );
         assert_eq!(first_real.get("ph").unwrap().as_str(), Some("i"));
         assert_eq!(v.get("droppedEvents").unwrap().as_u64(), Some(6));
+    }
+
+    fn tmp(name: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!("cfir-sink-test-{}-{name}", std::process::id()))
+    }
+
+    #[test]
+    fn file_sinks_create_their_file_at_the_first_event() {
+        for ext in ["jsonl", "json"] {
+            let path = tmp(&format!("lazy.{ext}"));
+            let p = path.to_str().unwrap();
+            let _ = std::fs::remove_file(&path);
+            let mut sink: Box<dyn Sink> = if ext == "jsonl" {
+                Box::new(JsonlSink::create(p))
+            } else {
+                Box::new(ChromeSink::create(p, 16))
+            };
+            sink.flush();
+            assert!(!path.exists(), "{ext}: an empty sink must not touch {p}");
+            sink.emit(&ev(3));
+            sink.flush();
+            let text = std::fs::read_to_string(&path).expect("file written after an event");
+            assert!(text.contains("\"validate\""), "{ext}: {text}");
+            let _ = std::fs::remove_file(&path);
+        }
+    }
+
+    #[test]
+    fn unopenable_jsonl_path_drops_events_without_panicking() {
+        let mut s = JsonlSink::create("/nonexistent-cfir-dir/t.jsonl");
+        s.emit(&ev(1));
+        s.emit(&ev(2));
+        s.flush();
+        assert!(s.out.is_none() && s.path.is_none(), "open is tried once");
     }
 }

@@ -36,10 +36,7 @@ impl std::fmt::Debug for Tracer {
 fn build_sink(filter: &TraceFilter) -> Box<dyn Sink> {
     match &filter.sink {
         SinkSpec::Text => Box::new(TextSink),
-        SinkSpec::Jsonl(path) => match JsonlSink::create(path) {
-            Ok(s) => Box::new(s),
-            Err(e) => panic!("CFIR_TRACE: cannot open jsonl sink {path}: {e}"),
-        },
+        SinkSpec::Jsonl(path) => Box::new(JsonlSink::create(path)),
         SinkSpec::Chrome(path) => Box::new(ChromeSink::create(path, filter.cap)),
     }
 }

@@ -285,6 +285,9 @@ pub fn replay_window(
     wcfg.max_insts = warmup;
     let mut p = Pipeline::new(prog, ckpt.memory(), wcfg);
     p.restore_checkpoint(&ckpt.warm_start());
+    // One trace file per window, named like the window's `.ckpt` file.
+    let checkpoint_id = ckpt.content_id();
+    p.scope_trace(&format!("{checkpoint_id:016x}"));
     let mut halted = matches!(p.run(), RunExit::Halted);
     let s0 = p.stats.clone();
     if !halted {
@@ -303,7 +306,7 @@ pub fn replay_window(
     };
     let row = WindowRow {
         start_inst: ckpt.retired,
-        checkpoint_id: ckpt.content_id(),
+        checkpoint_id,
         committed: delta.committed,
         cycles: delta.cycles,
         ipc: delta.ipc(),

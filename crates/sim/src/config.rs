@@ -146,8 +146,7 @@ pub struct SimConfig {
     /// (unbounded ring, so `lifecycle.dropped` stays 0) and derive the
     /// bottleneck report — critical path, CPI stack, what-if
     /// projections — in `finalize_stats`. Costs memory proportional to
-    /// the instruction budget; `CFIR_PIPEVIEW` takes precedence when
-    /// both are set.
+    /// the instruction budget.
     pub record_lifecycle: bool,
 }
 

@@ -28,7 +28,7 @@ use cfir_core::RenameExt;
 use cfir_emu::{Emulator, MemImage};
 use cfir_isa::{Inst, Program, NUM_LOGICAL_REGS};
 use cfir_mem::Hierarchy;
-use cfir_obs::{LifecycleLog, PipeviewSpec, Tracer, WaitEdgeKind};
+use cfir_obs::{LifecycleLog, Tracer, WaitEdgeKind};
 use cfir_predict::{Gshare, COMMITTED_HISTORY_MASK};
 use std::collections::VecDeque;
 
@@ -181,10 +181,6 @@ pub struct Pipeline<'a> {
     /// disabled, every hook is one branch. Boxed: the log is large and
     /// cold relative to the pipeline state.
     pub(crate) lifecycle: Option<Box<LifecycleLog>>,
-    /// Cycle at which lifecycle recording was enabled; the wait-sum
-    /// reconciliation against the stall breakdown is exact only from
-    /// cycle 0.
-    pub(crate) lifecycle_since: u64,
     /// Physical register → lid of the instruction that produces it
     /// (0 = no producer recorded; real lids start at 1). Maintained
     /// only while lifecycle recording is on; gives every dispatched
@@ -196,9 +192,6 @@ pub struct Pipeline<'a> {
     /// map this replaces): a slot is only ever overwritten by the next
     /// rename of the same physical register.
     pub(crate) prod_lid: Vec<u64>,
-    /// Where to write the Konata pipeview document at the end of the
-    /// run (`--pipeview` / `CFIR_PIPEVIEW`).
-    pub(crate) pipeview_path: Option<String>,
 }
 
 impl<'a> Pipeline<'a> {
@@ -272,13 +265,9 @@ impl<'a> Pipeline<'a> {
             last_flush_cycle: None,
             prod_lid: Vec::new(),
             lifecycle: None,
-            lifecycle_since: 0,
-            pipeview_path: None,
             cfg,
         };
-        if let Some(spec) = PipeviewSpec::from_env() {
-            pipe.enable_pipeview(&spec.path, spec.cap);
-        } else if pipe.cfg.record_lifecycle {
+        if pipe.cfg.record_lifecycle {
             // Unbounded ring: the bottleneck analysis needs the whole
             // causal DAG (`dropped > 0` would truncate it).
             pipe.enable_lifecycle(0);
@@ -361,25 +350,21 @@ impl<'a> Pipeline<'a> {
         if let Some(t) = &self.tracer {
             self.tracer = Some(Tracer::new(t.filter().scoped(scope)));
         }
-        if let Some(p) = &self.pipeview_path {
-            self.pipeview_path = Some(cfir_obs::filter::scope_path(p, scope));
-        }
     }
 
     /// Record a per-instruction lifecycle (stage-entry cycles + causal
-    /// wait-edges) for every dynamic instruction from now on, keeping
-    /// up to `cap` retired records (0 = unbounded). Enable before the
-    /// first cycle for the wait-sum reconciliation invariant to hold.
+    /// wait-edges) for every dynamic instruction of the run, keeping up
+    /// to `cap` retired records (0 = unbounded). Must be called before
+    /// the first cycle, so the wait sums reconcile with the stall
+    /// breakdown. The caller owns any output:
+    /// [`LifecycleLog::render_konata`] on [`Pipeline::lifecycle`]
+    /// gives the Konata pipeview document.
     pub fn enable_lifecycle(&mut self, cap: usize) {
-        self.lifecycle_since = self.cycle;
+        assert_eq!(
+            self.cycle, 0,
+            "enable_lifecycle must run before the first cycle"
+        );
         self.lifecycle = Some(Box::new(LifecycleLog::new(cap)));
-    }
-
-    /// [`Pipeline::enable_lifecycle`] plus a Konata pipeview document
-    /// written to `path` when the run finishes.
-    pub fn enable_pipeview(&mut self, path: &str, cap: usize) {
-        self.pipeview_path = Some(path.to_string());
-        self.enable_lifecycle(cap);
     }
 
     /// The lifecycle recorder, when enabled.
@@ -556,25 +541,17 @@ impl<'a> Pipeline<'a> {
             self.stats.lifecycle_records = log.len() as u64 + log.dropped();
             self.stats.lifecycle_dropped = log.dropped();
             // Per-instruction wait sums must reconcile exactly with the
-            // aggregate stall attribution — same invariant, finer grain
-            // (only exact when the recorder saw the whole run).
-            if self.lifecycle_since == 0 {
-                if let Err(e) = log.reconcile(&self.stats.stall) {
-                    panic!("lifecycle attribution broken: {e}");
-                }
-                // Whole-run causal DAG available: derive the critical
-                // path and the what-if speed-limit projections.
-                self.stats.bottleneck = Some(cfir_obs::critpath::analyze(
-                    log,
-                    self.cfg.commit_width as u64,
-                    self.cfg.window as usize,
-                ));
+            // aggregate stall attribution — same invariant, finer grain.
+            if let Err(e) = log.reconcile(&self.stats.stall) {
+                panic!("lifecycle attribution broken: {e}");
             }
-            if let Some(path) = &self.pipeview_path {
-                if let Err(e) = std::fs::write(path, log.render_konata()) {
-                    eprintln!("cfir-sim: could not write pipeview {path}: {e}");
-                }
-            }
+            // Whole-run causal DAG available: derive the critical path
+            // and the what-if speed-limit projections.
+            self.stats.bottleneck = Some(cfir_obs::critpath::analyze(
+                log,
+                self.cfg.commit_width as u64,
+                self.cfg.window as usize,
+            ));
         }
         if let Some(t) = &self.tracer {
             t.flush();

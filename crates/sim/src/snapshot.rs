@@ -662,36 +662,6 @@ mod tests {
     }
 
     #[test]
-    fn v1_documents_still_parse_and_expose_v1_keys() {
-        // A committed v1 snapshot fragment (pre-percentile histograms,
-        // short interval rows, no branch_prof): the parser and the v1
-        // key set must keep working so old baselines stay readable.
-        let v1 = r#"{
-            "schema_version": 1,
-            "name": "bzip2", "mode": "ci",
-            "cycles": 1000, "committed": 2500, "ipc": 2.5,
-            "committed_reuse": 300, "reuse_fraction": 0.12,
-            "histograms": {
-                "load_to_use": {"count": 2, "sum": 15, "max": 14,
-                                 "mean": 7.5, "buckets": [[1, 1], [8, 1]]}
-            },
-            "intervals": [
-                {"cycle": 500, "committed": 1200,
-                 "committed_reuse": 100, "interval_ipc": 2.4}
-            ]
-        }"#;
-        let v = json::parse(v1).expect("v1 snapshot parses");
-        assert_eq!(v.get("schema_version").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("cycles").unwrap().as_u64(), Some(1000));
-        let h = v.get("histograms").unwrap().get("load_to_use").unwrap();
-        assert_eq!(h.get("count").unwrap().as_u64(), Some(2));
-        assert!(h.get("p50").is_none());
-        let iv = v.get("intervals").unwrap().as_arr().unwrap();
-        assert_eq!(iv[0].get("cycle").unwrap().as_u64(), Some(500));
-        assert!(iv[0].get("rob_occupancy").is_none());
-    }
-
-    #[test]
     fn all_stall_causes_are_present_even_when_zero() {
         let text = run_json("x", "scal", &SimStats::default());
         let v = json::parse(&text).unwrap();

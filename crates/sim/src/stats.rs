@@ -145,8 +145,8 @@ pub struct SimStats {
     /// `cycles × commit_width` (checked in `finalize_stats`).
     pub stall: StallBreakdown,
     /// Critical-path and what-if analysis (`None` unless lifecycle
-    /// recording covered the whole run — `SimConfig::record_lifecycle`
-    /// or `CFIR_PIPEVIEW` from cycle 0).
+    /// recording was on — `SimConfig::record_lifecycle` or
+    /// `Pipeline::enable_lifecycle`).
     pub bottleneck: Option<BottleneckReport>,
 }
 

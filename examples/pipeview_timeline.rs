@@ -24,8 +24,13 @@ fn main() {
     cfg.cosim_check = false;
 
     let mut pipe = Pipeline::new(&w.prog, w.mem.clone(), cfg);
-    pipe.enable_pipeview("target/gzip-ci.kanata", 1 << 20);
+    pipe.enable_lifecycle(1 << 20);
     pipe.run();
+    let konata = pipe.lifecycle().expect("recording on").render_konata();
+    if let Err(e) = std::fs::write("target/gzip-ci.kanata", &konata) {
+        eprintln!("cannot write target/gzip-ci.kanata: {e}");
+        std::process::exit(1);
+    }
 
     let s = &pipe.stats;
     println!(
@@ -35,8 +40,7 @@ fn main() {
 
     // Same rendering path as `cfir-report timeline target/gzip-ci.kanata
     // --around-mispredict 1`, done in-process.
-    let text = std::fs::read_to_string("target/gzip-ci.kanata").expect("trace written");
-    let trace = cfir::obs::parse_konata(&text).expect("round-trips");
+    let trace = cfir::obs::parse_konata(&konata).expect("round-trips");
     let opts = cfir::obs::TimelineOpts {
         around_mispredict: Some(1),
         ..Default::default()

@@ -17,7 +17,8 @@
 //! * `--pipeview <path>` — record every dynamic instruction's pipeline
 //!   lifecycle (stages, wait-edges, replica/reuse/wrong-path fate) and
 //!   write a Konata-compatible trace to `path` at the end of the run
-//!   (render it with `cfir-report timeline <path>`);
+//!   (render it with `cfir-report timeline <path>`); exit 1 if it
+//!   cannot be written;
 //! * `--pipeview-cap N` — retain at most N retired lifecycle records
 //!   (ring buffer; default 1M, 0 = unbounded);
 //! * `--emit-json [path.json]` — emit the versioned run-statistics
@@ -30,6 +31,10 @@
 use cfir::prelude::*;
 use std::process::exit;
 
+/// Default `--pipeview-cap`: retired lifecycle records kept in the
+/// ring, enough for a 1M-instruction run without unbounded memory.
+const DEFAULT_PIPEVIEW_CAP: usize = 1 << 20;
+
 struct Args {
     path: String,
     mode: Mode,
@@ -38,7 +43,7 @@ struct Args {
     regs: RegFileSize,
     ports: u32,
     replicas: u8,
-    pipeview_path: Option<String>,
+    pipeview: Option<String>,
     pipeview_cap: usize,
     emit_json: bool,
     emit_json_path: Option<String>,
@@ -71,8 +76,8 @@ fn parse_args() -> Args {
         regs: RegFileSize::Finite(512),
         ports: 1,
         replicas: 4,
-        pipeview_path: None,
-        pipeview_cap: cfir::obs::lifecycle::DEFAULT_PIPEVIEW_CAP,
+        pipeview: None,
+        pipeview_cap: DEFAULT_PIPEVIEW_CAP,
         emit_json: false,
         emit_json_path: None,
         data: Vec::new(),
@@ -114,7 +119,7 @@ fn parse_args() -> Args {
                     .and_then(|v| v.parse().ok())
                     .unwrap_or_else(|| usage())
             }
-            "--pipeview" => a.pipeview_path = Some(it.next().unwrap_or_else(|| usage())),
+            "--pipeview" => a.pipeview = Some(it.next().unwrap_or_else(|| usage())),
             "--pipeview-cap" => {
                 a.pipeview_cap = it
                     .next()
@@ -204,12 +209,16 @@ fn main() {
         cfg.interval_cycles = 10_000;
     }
     let mut pipe = Pipeline::new(&prog, mem, cfg);
-    if let Some(p) = &a.pipeview_path {
-        pipe.enable_pipeview(p, a.pipeview_cap);
+    if a.pipeview.is_some() {
+        pipe.enable_lifecycle(a.pipeview_cap);
     }
     let exit_reason = pipe.run();
     let s = &pipe.stats;
-    if let Some(p) = &a.pipeview_path {
+    if let (Some(p), Some(log)) = (&a.pipeview, pipe.lifecycle()) {
+        if let Err(e) = std::fs::write(p, log.render_konata()) {
+            eprintln!("cannot write pipeview trace {p}: {e}");
+            exit(1)
+        }
         eprintln!(
             "[pipeview trace written to {p}: {} records, {} dropped]",
             s.lifecycle_records, s.lifecycle_dropped

@@ -39,7 +39,7 @@ fn usage() -> ! {
          \x20 --emit-json       also write JSON snapshot bundles\n\
          \x20 --bench-json [P]  write a wall-clock benchmark summary JSON\n\
          \x20                   (default path BENCH_6.json)\n\
-         \x20 --insts N         committed-instruction budget (= CFIR_INSTS)\n\
+         \x20 --insts N         committed-instruction budget (overrides CFIR_INSTS)\n\
          \x20 --quiet           suppress per-experiment tables\n\
          \x20 --list            list experiments and profiles, run nothing\n\
          env: CFIR_INSTS, CFIR_ELEMS, CFIR_SEED\n\
@@ -98,6 +98,7 @@ fn main() {
     let mut all = false;
     let mut do_list = false;
     let mut bench_json: Option<String> = None;
+    let mut insts: Option<u64> = None;
     let mut opts = SuiteOptions::default();
     let mut args = std::env::args().skip(1).peekable();
     while let Some(a) = args.next() {
@@ -153,7 +154,12 @@ fn main() {
             }
             "--resume" => opts.resume = true,
             "--quiet" => opts.quiet = true,
-            "--insts" => std::env::set_var("CFIR_INSTS", value()),
+            "--insts" => {
+                insts = Some(value().parse().unwrap_or_else(|_| {
+                    eprintln!("cfir-suite: --insts wants a number");
+                    std::process::exit(2);
+                }))
+            }
             other if other.starts_with('-') => {
                 eprintln!("cfir-suite: unknown flag {other}");
                 usage()
@@ -176,7 +182,10 @@ fn main() {
         usage();
     }
 
-    let p = Params::from_env();
+    let mut p = Params::from_env();
+    if let Some(n) = insts {
+        p.max_insts = n;
+    }
     let experiments: Vec<Experiment> = names
         .iter()
         .map(|n| {

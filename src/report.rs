@@ -77,17 +77,15 @@ pub const METRICS: &[Metric] = &[
 ];
 
 /// The metrics of one run, extracted from a snapshot document.
-/// `values[i]` corresponds to `METRICS[i]`; `None` when the document
-/// does not carry the key (e.g. schema-v1 snapshots have no
-/// `branch_prof`).
+/// `values[i]` corresponds to `METRICS[i]`.
 #[derive(Debug, Clone)]
 pub struct RunMetrics {
     /// Workload name.
     pub name: String,
     /// Machine-variant label.
     pub mode: String,
-    /// One slot per [`METRICS`] entry.
-    pub values: Vec<Option<f64>>,
+    /// One value per [`METRICS`] entry.
+    pub values: Vec<f64>,
 }
 
 impl RunMetrics {
@@ -96,49 +94,65 @@ impl RunMetrics {
     }
 }
 
-/// Parse a snapshot document's text, rejecting schemas newer than this
-/// build understands (older ones — v1 — are fine: v2 is additive).
+/// Parse a snapshot document's text, accepting only the schema this
+/// build writes ([`cfir_sim::SCHEMA_VERSION`]).
 pub fn parse_doc(text: &str) -> Result<JsonValue, String> {
     let v = json::parse(text)?;
     match v.get("schema_version").and_then(|x| x.as_u64()) {
         None => Err("document has no schema_version".into()),
-        Some(n) if n > cfir_sim::SCHEMA_VERSION as u64 => Err(format!(
-            "schema_version {n} is newer than this tool understands ({})",
+        Some(n) if n == cfir_sim::SCHEMA_VERSION as u64 => Ok(v),
+        Some(n) => Err(format!(
+            "schema_version {n} is not the one this tool reads ({})",
             cfir_sim::SCHEMA_VERSION
         )),
-        Some(_) => Ok(v),
     }
 }
 
-fn extract_one(run: &JsonValue) -> Option<RunMetrics> {
-    let name = run.get("name")?.as_str()?.to_string();
-    let mode = run.get("mode")?.as_str()?.to_string();
+/// One run's metrics; every [`METRICS`] key must be present, so a
+/// damaged document can never pass a gate by omission.
+fn extract_one(run: &JsonValue) -> Result<RunMetrics, String> {
+    let field = |k: &str| run.get(k).and_then(|x| x.as_str());
+    let (Some(name), Some(mode)) = (field("name"), field("mode")) else {
+        return Err("a run has no name or mode".into());
+    };
     let values = METRICS
         .iter()
-        .map(|m| match m.key {
-            "ci_exploited_fraction" => run
-                .get("branch_prof")
-                .and_then(|bp| bp.get(m.key))
-                .and_then(|x| x.as_f64()),
-            k => run.get(k).and_then(|x| x.as_f64()),
+        .map(|m| {
+            let holder = match m.key {
+                "ci_exploited_fraction" => run.get("branch_prof"),
+                _ => Some(run),
+            };
+            holder
+                .and_then(|h| h.get(m.key))
+                .and_then(|x| x.as_f64())
+                .ok_or_else(|| format!("run {name}/{mode} has no `{}`", m.key))
         })
-        .collect();
-    Some(RunMetrics { name, mode, values })
+        .collect::<Result<_, _>>()?;
+    Ok(RunMetrics {
+        name: name.to_string(),
+        mode: mode.to_string(),
+        values,
+    })
 }
 
 /// All runs in a document: the `"runs"` array of a bundle, or the
 /// document itself when it is a single-run snapshot.
 pub fn extract_runs(doc: &JsonValue) -> Result<Vec<RunMetrics>, String> {
-    if let Some(runs) = doc.get("runs").and_then(|r| r.as_arr()) {
-        let out: Vec<RunMetrics> = runs.iter().filter_map(extract_one).collect();
-        if out.is_empty() {
-            return Err("bundle has an empty or malformed runs array".into());
-        }
-        return Ok(out);
+    match doc.get("runs").and_then(|r| r.as_arr()) {
+        Some([]) => Err("bundle has an empty runs array".into()),
+        Some(runs) => runs.iter().map(extract_one).collect(),
+        None => extract_one(doc).map(|r| vec![r]),
     }
-    extract_one(doc)
-        .map(|r| vec![r])
-        .ok_or_else(|| "document is neither a run snapshot nor a bundle with runs".into())
+}
+
+/// A bundle that carries only a rendered table (e.g. the Table 1
+/// configuration dump): an empty `"runs"` array beside a `"table"`.
+fn is_table_only(doc: &JsonValue) -> bool {
+    doc.get("table").is_some()
+        && doc
+            .get("runs")
+            .and_then(|r| r.as_arr())
+            .is_some_and(|r| r.is_empty())
 }
 
 /// Parse a tolerance argument: `"2%"` → `0.02`, `"0.02"` → `0.02`.
@@ -162,11 +176,11 @@ pub struct DiffOutcome {
     pub regressed: bool,
 }
 
-fn fmt_val(v: Option<f64>) -> String {
-    match v {
-        Some(x) if x == x.trunc() && x.abs() < 1e15 => format!("{x}"),
-        Some(x) => format!("{x:.4}"),
-        None => "-".into(),
+fn fmt_val(x: f64) -> String {
+    if x == x.trunc() && x.abs() < 1e15 {
+        format!("{x}")
+    } else {
+        format!("{x:.4}")
     }
 }
 
@@ -234,15 +248,14 @@ fn diff_tables(old: &JsonValue, new: &JsonValue) -> Result<DiffOutcome, String> 
 /// (relative to the baseline value). Non-gating metrics are reported
 /// but never fail the check. Documents that carry no runs but do carry
 /// a rendered table (e.g. the Table 1 configuration dump) are compared
-/// textually instead.
+/// textually instead. A run missing any [`METRICS`] key on either side
+/// is an error, not a pass.
 pub fn diff(old: &JsonValue, new: &JsonValue, tolerance: f64) -> Result<DiffOutcome, String> {
-    let (old_runs, new_runs) = match (extract_runs(old), extract_runs(new)) {
-        (Ok(o), Ok(n)) => (o, n),
-        (Err(_), Err(_)) if old.get("table").is_some() && new.get("table").is_some() => {
-            return diff_tables(old, new);
-        }
-        (Err(e), _) | (_, Err(e)) => return Err(e),
-    };
+    if is_table_only(old) && is_table_only(new) {
+        return diff_tables(old, new);
+    }
+    let old_runs = extract_runs(old).map_err(|e| format!("baseline document: {e}"))?;
+    let new_runs = extract_runs(new).map_err(|e| format!("new document: {e}"))?;
     let mut report = String::new();
     let mut regressed = false;
 
@@ -259,18 +272,6 @@ pub fn diff(old: &JsonValue, new: &JsonValue, tolerance: f64) -> Result<DiffOutc
         let _ = writeln!(report, "{}/{}:", o.name, o.mode);
         for (i, m) in METRICS.iter().enumerate() {
             let (ov, nv) = (o.values[i], n.values[i]);
-            let (Some(ov), Some(nv)) = (ov, nv) else {
-                // Absent on either side (e.g. v1 baseline without
-                // branch_prof): informational, never a regression.
-                let _ = writeln!(
-                    report,
-                    "  {:24} {:>12} -> {:>12}",
-                    m.key,
-                    fmt_val(o.values[i]),
-                    fmt_val(n.values[i])
-                );
-                continue;
-            };
             let delta = nv - ov;
             let rel = if ov.abs() > 1e-12 { delta / ov } else { 0.0 };
             let bad = match m.direction {
@@ -284,8 +285,8 @@ pub fn diff(old: &JsonValue, new: &JsonValue, tolerance: f64) -> Result<DiffOutc
                 report,
                 "  {:24} {:>12} -> {:>12}  ({:+.2}%){}",
                 m.key,
-                fmt_val(Some(ov)),
-                fmt_val(Some(nv)),
+                fmt_val(ov),
+                fmt_val(nv),
                 rel * 100.0,
                 if is_regression { "  REGRESSION" } else { "" }
             );
@@ -895,7 +896,7 @@ mod tests {
 
     fn snap(name: &str, mode: &str, ipc: f64, reuse: f64) -> String {
         format!(
-            r#"{{"schema_version":2,"name":"{name}","mode":"{mode}","ipc":{ipc},
+            r#"{{"schema_version":7,"name":"{name}","mode":"{mode}","ipc":{ipc},
                "reuse_fraction":{reuse},"mispredict_rate":0.05,
                "wrong_path_fraction":0.3,"cycles":1000,"committed":2500,
                "branch_prof":{{"static_branches":1,"ci_exploited_fraction":0.5,
@@ -905,7 +906,7 @@ mod tests {
 
     fn bundle(runs: &[String]) -> String {
         format!(
-            r#"{{"schema_version":2,"title":"t","table":{{"header":[],"rows":[]}},"runs":[{}]}}"#,
+            r#"{{"schema_version":7,"title":"t","table":{{"header":[],"rows":[]}},"runs":[{}]}}"#,
             runs.join(",")
         )
     }
@@ -923,7 +924,8 @@ mod tests {
     fn schema_gatekeeping() {
         assert!(parse_doc(r#"{"ipc":1.0}"#).is_err(), "no version");
         assert!(parse_doc(r#"{"schema_version":99}"#).is_err(), "too new");
-        assert!(parse_doc(r#"{"schema_version":1}"#).is_ok(), "v1 ok");
+        assert!(parse_doc(r#"{"schema_version":6}"#).is_err(), "too old");
+        assert!(parse_doc(r#"{"schema_version":7}"#).is_ok(), "current");
     }
 
     #[test]
@@ -937,7 +939,7 @@ mod tests {
             .iter()
             .position(|m| m.key == "ci_exploited_fraction")
             .unwrap();
-        assert_eq!(rs[0].values[idx], Some(0.5));
+        assert_eq!(rs[0].values[idx], 0.5);
 
         let b = parse_doc(&bundle(&[
             snap("a", "ci", 1.0, 0.1),
@@ -996,27 +998,29 @@ mod tests {
     }
 
     #[test]
-    fn v1_baseline_without_branch_prof_still_checks() {
-        // A v1 snapshot has no branch_prof: the ci_exploited_fraction
-        // column is informational, the IPC gate still applies.
-        let v1 = parse_doc(
-            r#"{"schema_version":1,"name":"b","mode":"ci","ipc":2.0,
-                "reuse_fraction":0.12,"mispredict_rate":0.05,
-                "wrong_path_fraction":0.3,"cycles":1000,"committed":2500}"#,
-        )
-        .unwrap();
-        let v2 = parse_doc(&snap("b", "ci", 1.5, 0.12)).unwrap();
-        let o = diff(&v1, &v2, 0.02).unwrap();
-        assert!(o.regressed, "IPC 2.0 -> 1.5 must fail the gate");
+    fn missing_metric_key_is_an_error_naming_run_and_key() {
+        let full = parse_doc(&snap("b", "ci", 2.0, 0.12)).unwrap();
+        let no_ipc = snap("b", "ci", 2.0, 0.12).replace(r#""ipc":2,"#, "");
+        let no_ipc = parse_doc(&no_ipc).unwrap();
+        assert!(no_ipc.get("ipc").is_none(), "fixture lost its ipc");
+        for (old, new) in [(&full, &no_ipc), (&no_ipc, &full)] {
+            let e = diff(old, new, 0.02).unwrap_err();
+            assert!(e.contains("b/ci") && e.contains("`ipc`"), "{e}");
+        }
+        // A key nested in branch_prof is required too.
+        let no_bp =
+            snap("b", "ci", 2.0, 0.12).replace(r#""ci_exploited_fraction":0.5"#, r#""x":0"#);
+        let e = diff(&full, &parse_doc(&no_bp).unwrap(), 0.02).unwrap_err();
+        assert!(e.contains("`ci_exploited_fraction`"), "{e}");
     }
 
     #[test]
     fn table_only_documents_diff_textually() {
-        let t1 = r#"{"schema_version":2,"title":"Table 1",
+        let t1 = r#"{"schema_version":7,"title":"Table 1",
             "table":{"header":["parameter","value"],
                      "rows":[["Fetch width","8"],["Commit width","8"]]},
             "runs":[]}"#;
-        let t2 = r#"{"schema_version":2,"title":"Table 1",
+        let t2 = r#"{"schema_version":7,"title":"Table 1",
             "table":{"header":["parameter","value"],
                      "rows":[["Fetch width","4"],["Commit width","8"]]},
             "runs":[]}"#;
@@ -1033,7 +1037,7 @@ mod tests {
 
     fn bsnap(name: &str, mode: &str, dropped: u64, base: u64, mem: u64, bp_speedup: f64) -> String {
         format!(
-            r#"{{"schema_version":5,"name":"{name}","mode":"{mode}","ipc":1.0,
+            r#"{{"schema_version":7,"name":"{name}","mode":"{mode}","ipc":1.0,
                "cycles":1000,"committed":2500,
                "lifecycle":{{"records":10,"dropped":{dropped}}},
                "branch_prof":{{"static_branches":1,"ci_exploited_fraction":0.5,
@@ -1058,9 +1062,9 @@ mod tests {
         assert_eq!(lifecycle_dropped(&clean), 0);
         let dirty = parse_doc(&bsnap("b", "ci", 7, 2000, 500, 1.4)).unwrap();
         assert_eq!(lifecycle_dropped(&dirty), 7);
-        // Pre-v4 documents without a lifecycle object count as zero.
-        let v1 = parse_doc(r#"{"schema_version":1,"ipc":1.0}"#).unwrap();
-        assert_eq!(lifecycle_dropped(&v1), 0);
+        // Documents without a lifecycle object count as zero.
+        let bare = parse_doc(r#"{"schema_version":7,"ipc":1.0}"#).unwrap();
+        assert_eq!(lifecycle_dropped(&bare), 0);
     }
 
     #[test]
@@ -1085,14 +1089,14 @@ mod tests {
         assert!(br.contains("12"), "{br}");
         assert!(br.contains("34"), "{br}");
         // A document with no bottleneck objects at all is an error.
-        let v1 = parse_doc(r#"{"schema_version":1,"ipc":1.0}"#).unwrap();
-        assert!(render_bottleneck(&v1, None).is_err());
+        let bare = parse_doc(r#"{"schema_version":7,"ipc":1.0}"#).unwrap();
+        assert!(render_bottleneck(&bare, None).is_err());
     }
 
     #[test]
     fn cidi_render_shows_oracle_summary_and_branch_rows() {
         let d = parse_doc(
-            r#"{"schema_version":6,"name":"twolf","mode":"ci","ipc":1.0,
+            r#"{"schema_version":7,"name":"twolf","mode":"ci","ipc":1.0,
                "branch_prof":{"static_branches":1,
                  "totals":{},"unattributed":{},
                  "branches":[{"pc":40,"cidi_checks":8,"cidi_agree":6},
@@ -1115,8 +1119,8 @@ mod tests {
         assert!(out.contains("0x28"), "{out}");
         assert!(!out.contains("0x2c"), "{out}");
         // A document with no dataflow_oracle objects at all is an error.
-        let v5 = parse_doc(&bsnap("b", "ci", 0, 2000, 500, 1.4)).unwrap();
-        assert!(render_cidi(&v5).is_err());
+        let no_oracle = parse_doc(&bsnap("b", "ci", 0, 2000, 500, 1.4)).unwrap();
+        assert!(render_cidi(&no_oracle).is_err());
     }
 
     #[test]

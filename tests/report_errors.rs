@@ -1,7 +1,8 @@
 //! `cfir-report` must never panic on damaged input: every load path
 //! prints the offending file's path to stderr and exits nonzero
 //! (exit 2 = usage/IO error), for a truncated schema-v7 snapshot, junk
-//! that isn't JSON at all, and well-formed JSON of the wrong shape.
+//! that isn't JSON at all, well-formed JSON of the wrong shape, and a
+//! snapshot missing a gating metric.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -109,4 +110,34 @@ fn deeply_nested_json_fails_cleanly() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("nesting deeper"), "{args:?}: {stderr}");
     }
+}
+
+#[test]
+fn check_fails_when_a_gating_metric_is_missing() {
+    // The committed baseline with every run's `ipc` removed: a gate
+    // that skipped absent keys would pass it.
+    let good = concat!(env!("CARGO_MANIFEST_DIR"), "/results/baselines/smoke.json");
+    let full = std::fs::read_to_string(good).expect("committed baseline present");
+    let mut stripped = String::new();
+    let mut rest = full.as_str();
+    while let Some(at) = rest.find("\"ipc\":") {
+        stripped.push_str(&rest[..at]);
+        let value_end = rest[at..].find(',').expect("ipc is never the last key");
+        rest = &rest[at + value_end + 1..];
+    }
+    stripped.push_str(rest);
+    assert!(stripped.len() < full.len(), "baseline carries no ipc");
+    let no_ipc = write_tmp("no-ipc.json", &stripped);
+    let ns = no_ipc.to_str().unwrap();
+    for args in [vec!["check", good, ns], vec!["check", ns, good]] {
+        let out = report(&args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(
+            stderr.contains("bzip2/scal") && stderr.contains("`ipc`"),
+            "{args:?}: the error must name the run and the key\nstderr: {stderr}"
+        );
+        assert!(!String::from_utf8_lossy(&out.stdout).contains("ok (tolerance"));
+    }
+    let _ = std::fs::remove_file(no_ipc);
 }

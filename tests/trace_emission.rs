@@ -2,6 +2,9 @@
 //! binary to produce Chrome-trace and JSONL files, tracing must not
 //! perturb the simulation (identical `--emit-json` snapshots with and
 //! without a tracer attached), and `sub=commit` is the commit log.
+//! Sampled runs write one trace file per measured window, a failed
+//! `--pipeview` write fails the run, and no other variable switches
+//! lifecycle recording on: a suite's output depends on its jobs alone.
 //!
 //! Each configuration runs in its own child process because the trace
 //! environment is parsed once per process.
@@ -148,4 +151,120 @@ fn commit_trace_records_values_in_program_order() {
     for p in [asm, jsonl] {
         let _ = std::fs::remove_file(p);
     }
+}
+
+#[test]
+fn failed_pipeview_write_fails_the_run() {
+    let asm = tmp("pv.asm");
+    std::fs::write(&asm, PROG).unwrap();
+    let target = tmp("absent-dir").join("x.kanata");
+    let out = Command::new(env!("CARGO_BIN_EXE_cfir-run"))
+        .arg(&asm)
+        .arg("--pipeview")
+        .arg(&target)
+        .env_remove("CFIR_TRACE")
+        .output()
+        .expect("cfir-run spawns");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "exit 0 on a failed write: {stderr}");
+    assert!(stderr.contains("x.kanata"), "{stderr}");
+    assert!(!stderr.contains("written"), "{stderr}");
+    let _ = std::fs::remove_file(asm);
+}
+
+#[test]
+fn sampled_run_writes_one_trace_per_window() {
+    let dir = tmp("sampled");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let snap = dir.join("sampled.json");
+    let out = Command::new(env!("CARGO_BIN_EXE_cfir-sample"))
+        .args(["bzip2", "--mode", "ci", "--insts", "20000"])
+        .args(["--period", "2500", "--warmup", "700", "--window", "700"])
+        .arg("--emit-json")
+        .arg(&snap)
+        .env(
+            "CFIR_TRACE",
+            format!("sub=commit sink=jsonl:{}", dir.join("s.jsonl").display()),
+        )
+        .output()
+        .expect("cfir-sample spawns");
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let doc = json::parse(&std::fs::read_to_string(&snap).unwrap()).unwrap();
+    let windows = doc
+        .get("sampling")
+        .and_then(|s| s.get("windows"))
+        .and_then(|w| w.as_arr())
+        .expect("sampling.windows");
+    assert!(windows.len() > 1, "want several windows");
+    let mut want: Vec<String> = windows
+        .iter()
+        .map(|w| {
+            let id = w.get("checkpoint").and_then(|c| c.as_str()).unwrap();
+            format!("s.{id}.jsonl")
+        })
+        .collect();
+    want.sort();
+    let mut got: Vec<String> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().file_name().into_string().unwrap())
+        .filter(|n| n.ends_with(".jsonl"))
+        .collect();
+    got.sort();
+    assert_eq!(got, want, "one trace per window, no unscoped s.jsonl");
+    for name in &got {
+        let text = std::fs::read_to_string(dir.join(name)).unwrap();
+        assert!(text.lines().count() > 0, "{name} is empty");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn suite_output_ignores_the_retired_pipeview_variable() {
+    let dir = tmp("suite-env");
+    let _ = std::fs::remove_dir_all(&dir);
+    let kanata = dir.join("pv").join("t.kanata");
+    std::fs::create_dir_all(kanata.parent().unwrap()).unwrap();
+    let bundle = |tag: &str, pipeview: Option<&std::path::Path>| {
+        let out_dir = dir.join(format!("out-{tag}"));
+        let mut cmd = Command::new(env!("CARGO_BIN_EXE_cfir-suite"));
+        cmd.args(["fig05", "--emit-json", "--quiet", "--jobs", "2"])
+            .arg("--out-dir")
+            .arg(&out_dir)
+            .arg("--cache-dir")
+            .arg(dir.join(format!("cache-{tag}")))
+            .env("CFIR_INSTS", "5000")
+            .env_remove("CFIR_TRACE")
+            .env_remove("CFIR_ELEMS")
+            .env_remove("CFIR_SEED")
+            .env_remove("CFIR_PIPEVIEW");
+        if let Some(p) = pipeview {
+            cmd.env("CFIR_PIPEVIEW", p);
+        }
+        let out = cmd.output().expect("cfir-suite spawns");
+        assert!(
+            out.status.success(),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        std::fs::read(out_dir.join("fig05.json")).expect("bundle written")
+    };
+    let plain = bundle("plain", None);
+    let with_env = bundle("env", Some(&kanata));
+    assert!(
+        plain == with_env,
+        "bundle changed with CFIR_PIPEVIEW set ({} vs {} bytes)",
+        plain.len(),
+        with_env.len()
+    );
+    let left: Vec<_> = std::fs::read_dir(kanata.parent().unwrap())
+        .unwrap()
+        .map(|e| e.unwrap().file_name())
+        .collect();
+    assert!(left.is_empty(), "no Konata file may appear: {left:?}");
+    let _ = std::fs::remove_dir_all(&dir);
 }
